@@ -1,8 +1,8 @@
 //! Multi-client scaling ablation: the pooled server vs the big lock.
 //!
 //! The hazard this measures is not CPU parallelism (the CI box may well
-//! have one core) but *lock-held blocking*: the old
-//! `serve_connection_shared` big lock is held across the mid-call
+//! have one core) but *lock-held blocking*: the big-lock baseline
+//! ([`serve_big_lock`]) holds one node's lock across the mid-call
 //! callback round trip of remote-reference calls, so while one client
 //! thinks about a `GetField` answer, every other connection — even ones
 //! using completely independent services — is frozen. The pooled
@@ -62,9 +62,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use nrmi_core::{
-    client_evict_warm, client_invoke, client_invoke_warm_with_stats, dispatch_warm_frame,
-    serve_connection_pooled, serve_connection_shared, CallOptions, ClientNode, FnService,
-    LockClass, NrmiError, PassMode, PipelinedCall, ServerNode, Session, SharedServer,
+    allow_blocking, client_evict_warm, client_invoke, client_invoke_warm_with_stats,
+    dispatch_warm_frame, serve_connection_pooled, CallOptions, ClientNode, Connection, FnService,
+    Host, LockClass, NrmiError, PassMode, PipelinedCall, ServerNode, Session, SharedServer, Step,
     TrackedMutex, WarmCaches,
 };
 use nrmi_heap::{ClassId, ClassRegistry, HeapAccess, ObjId, SharedRegistry, Value};
@@ -314,10 +314,61 @@ pub struct ScalingReport {
 /// Which serve loop a cell runs against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServerFlavor {
-    /// `serve_connection_shared` behind one `Mutex<ServerNode>`.
+    /// [`serve_big_lock`] behind one `Mutex<ServerNode>`.
     BigLock,
     /// `serve_connection_pooled` / per-connection state.
     Pooled,
+}
+
+/// The big-lock baseline: every connection thread runs each frame
+/// through the connection engine while holding the one node's lock —
+/// including a remote-reference call's mid-call callback round trip, so
+/// a client that stalls inside a callback blocks every other connection
+/// (and one that never answers deadlocks them). Warm sessions stay per
+/// connection, their evictions coordinated through the node's lease
+/// table. The pooled [`ServerPool`](nrmi_core::ServerPool) server exists
+/// to remove exactly this hold.
+///
+/// # Errors
+/// Transport errors other than orderly disconnect, and protocol errors.
+pub fn serve_big_lock(
+    node: &TrackedMutex<ServerNode>,
+    transport: &mut dyn Transport,
+) -> Result<(), NrmiError> {
+    // Designed-in hold (DESIGN.md §3i): holding the node lock across
+    // callback I/O is the limitation this baseline measures, so the
+    // witness records it as accepted rather than as NRMI-L002.
+    let _allow = allow_blocking(
+        "big-lock baseline holds the node lock across callback I/O by documented design",
+    );
+    let mut conn = Connection::new(WarmCaches::with_leases(node.lock().leases.clone()));
+    let result = big_lock_loop(node, &mut conn, transport);
+    conn.close(&mut node.lock().state.heap);
+    result
+}
+
+fn big_lock_loop(
+    node: &TrackedMutex<ServerNode>,
+    conn: &mut Connection,
+    transport: &mut dyn Transport,
+) -> Result<(), NrmiError> {
+    let mut out = Vec::new();
+    loop {
+        let frame = match transport.recv() {
+            Ok(frame) => frame,
+            Err(TransportError::Disconnected) => return Ok(()),
+            Err(e) => return Err(e.into()),
+        };
+        let step = conn.on_frame(Host::Node(&mut node.lock()), transport, frame, &mut out)?;
+        for frame in out.drain(..) {
+            transport.send(&frame)?;
+        }
+        // A node host executes everything itself: `Close` is the only
+        // other step.
+        if !matches!(step, Step::Continue) {
+            return Ok(());
+        }
+    }
 }
 
 struct Schema {
@@ -444,7 +495,7 @@ fn throughput_cell(flavor: ServerFlavor, clients: usize) -> ScalingPoint {
                 let mut conn = listener.accept().expect("accept");
                 let shared = Arc::clone(&shared);
                 workers.push(thread::spawn(move || {
-                    let _ = serve_connection_shared(&shared, &mut conn);
+                    let _ = serve_big_lock(&shared, &mut conn);
                 }));
             }
             barrier.wait();
@@ -510,7 +561,7 @@ fn stall_cell(flavor: ServerFlavor) -> StallPoint {
                     .map(|mut conn| {
                         let shared = Arc::clone(&shared);
                         thread::spawn(move || {
-                            let _ = serve_connection_shared(&shared, &mut conn);
+                            let _ = serve_big_lock(&shared, &mut conn);
                         })
                     })
                     .collect()
@@ -950,10 +1001,10 @@ impl Transport for NullWire {
 
 /// One reader's connection to the shared server: `send` runs the frame
 /// through [`dispatch_warm_frame`] against the one server node (pushes
-/// enabled, queued ahead of the reply exactly as the serve loops write
-/// them); `recv` drains the queue. Each reader has its own
-/// [`WarmCaches`], all built over the node's one lease table — the
-/// per-connection shape of the real servers.
+/// queued ahead of the reply exactly as the serve loops write them);
+/// `recv` drains the queue. Each reader has its own [`WarmCaches`], all
+/// built over the node's one lease table — the per-connection shape of
+/// the real servers.
 struct WarmLink {
     server: Arc<Mutex<ServerNode>>,
     caches: WarmCaches,
@@ -963,12 +1014,13 @@ struct WarmLink {
 impl Transport for WarmLink {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
         let mut server = self.server.lock().expect("server");
-        let out = dispatch_warm_frame(
+        let mut out = Vec::new();
+        dispatch_warm_frame(
             &mut server,
             &mut self.caches,
             &mut NullWire,
             frame.clone(),
-            true,
+            &mut out,
         );
         drop(server);
         self.replies.extend(out);

@@ -4,8 +4,9 @@
 //! system over [`Frame`] message types, and [`model_check`] exhaustively
 //! enumerates every bounded sequence of protocol actions against the
 //! **real** implementation: [`client_invoke_warm_with_stats`] on one
-//! side, [`server_handle_warm_call`] on the other, joined by an
-//! in-process dispatch transport instead of threads. Each sequence runs
+//! side, the server's connection engine ([`Connection::on_frame`], the
+//! step every serve loop drives) on the other, joined by an in-process
+//! dispatch transport instead of threads. Each sequence runs
 //! a fresh client/server pair from scratch, so every prefix of every
 //! enumerated sequence is exercised.
 //!
@@ -61,7 +62,8 @@
 //!   oracle, a consumed call id produced a ghost reply, or a call frame
 //!   escaped the connection untagged.
 //! * `P010` — the reactor dispatch discipline broken: enumerating the
-//!   real [`nrmi_core::reactor_classify`] step function over two
+//!   real engine step as the reactor runs it (no connection node, a
+//!   worker pool behind [`nrmi_core::run_offloaded`]) over two
 //!   connections and an explicit job queue (the reactor model), a fresh
 //!   pipelineable call failed to offload, a retransmitted call id
 //!   offloaded a second execution, a reply reached the wrong
@@ -84,7 +86,7 @@ use std::time::Duration;
 use nrmi_core::ClientNode;
 use nrmi_core::{
     client_apply_reply, client_evict_warm, client_invoke_warm_with_stats, client_marshal_call,
-    server_handle_warm_call, CallOptions, FnService, NrmiError, PassMode, PendingCall, ServerNode,
+    CallOptions, Connection, FnService, Host, NrmiError, PassMode, PendingCall, ServerNode, Step,
     WarmCaches,
 };
 use nrmi_heap::validate::validate;
@@ -208,8 +210,8 @@ pub fn judge_reply(ctx: ReplyContext, reply: &Frame) -> Option<Diagnostic> {
 // ---------------------------------------------------------------------------
 
 /// A transport that swallows frames and never produces one; stands in
-/// for the (unused) callback channel when the checker invokes the server
-/// handler directly.
+/// for the (unused) callback channel of the engine steps the checker
+/// drives.
 struct NullTransport;
 
 impl Transport for NullTransport {
@@ -224,16 +226,30 @@ impl Transport for NullTransport {
     }
 }
 
-/// The server side of the model: a real [`ServerNode`] plus its warm
-/// caches, exposed to the client as a [`Transport`]. `send` dispatches
-/// the frame to [`server_handle_warm_call`] synchronously and queues the
-/// reply; `recv` drains the queue. A recv on an empty queue means the
-/// server produced no reply — the threaded deployment would deadlock —
-/// and surfaces as [`TransportError::Disconnected`], which the checker
-/// reports as `NRMI-P004`.
+/// Runs one frame through the server's real connection engine and
+/// returns everything the step answers, in wire order. A frame the
+/// engine rejects as a protocol error (the serve loop would end the
+/// connection) is answered with an error the checker will surface.
+fn engine_step(conn: &mut Connection, host: Host<'_>, frame: &Frame) -> Vec<Frame> {
+    let mut out = Vec::new();
+    if let Err(e) = conn.on_frame(host, &mut NullTransport, frame.clone(), &mut out) {
+        out.push(Frame::CallError {
+            message: format!("checker: {e}"),
+        });
+    }
+    out
+}
+
+/// The server side of the model: a real [`ServerNode`] plus one
+/// connection's engine state, exposed to the client as a [`Transport`].
+/// `send` runs the frame through the engine synchronously and queues
+/// what it answers; `recv` drains the queue. A recv on an empty queue
+/// means the server produced no reply — the threaded deployment would
+/// deadlock — and surfaces as [`TransportError::Disconnected`], which
+/// the checker reports as `NRMI-P004`.
 struct ServerSide {
     server: ServerNode,
-    caches: WarmCaches,
+    conn: Connection,
     replies: VecDeque<Frame>,
     faults: FaultFlags,
 }
@@ -249,88 +265,26 @@ struct FaultFlags {
 }
 
 impl ServerSide {
-    /// Dispatches one frame to the server, returning its reply (if the
-    /// frame warrants one).
-    fn dispatch(&mut self, frame: &Frame) -> Option<Frame> {
-        match frame {
-            // The at-most-once envelope: consult the node's reply cache
-            // before executing, exactly as the real serve loop does.
-            Frame::Tagged { nonce, seq, frame } => {
-                use nrmi_core::ReplyDecision;
-                match self.server.replies.decision(*nonce, *seq) {
-                    ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                        nonce: *nonce,
-                        seq: *seq,
-                        frame: Box::new(cached),
-                    }),
-                    ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                        nonce: *nonce,
-                        seq: *seq,
-                        frame: Box::new(nrmi_core::reliable::evicted_reply()),
-                    }),
-                    // The model dispatches each frame to completion before
-                    // the next, so the cross-connection executing marker
-                    // (set only by `begin`) is never observed here; the
-                    // real serve loop drops such duplicates unanswered.
-                    ReplyDecision::InProgress => None,
-                    ReplyDecision::Fresh => {
-                        let reply = self.dispatch(frame)?;
-                        self.server.replies.store(*nonce, *seq, &reply);
-                        Some(Frame::Tagged {
-                            nonce: *nonce,
-                            seq: *seq,
-                            frame: Box::new(reply),
-                        })
-                    }
-                }
-            }
-            Frame::CallRequestWarm {
-                service,
-                method,
-                mode,
-                cache_id,
-                generation,
-                payload,
-            } => Some(server_handle_warm_call(
-                &mut self.server,
-                &mut self.caches,
-                &mut NullTransport,
-                service,
-                method,
-                *mode,
-                *cache_id,
-                *generation,
-                payload,
-            )),
-            Frame::CacheEvict { cache_id } => {
-                self.caches.evict(&mut self.server.state.heap, *cache_id);
-                None
-            }
-            // Plain (cold) calls: the pipelined model issues copy-restore
-            // `CallRequest`s through the split-phase client API; dispatch
-            // through the serve loop's real step function.
-            Frame::CallRequest { .. } => Some(nrmi_core::dispatch_tagged(
-                &mut self.server,
-                &mut self.caches,
-                &mut NullTransport,
-                frame.clone(),
-            )),
-            // The model's graphs never contain stubs, so the client never
-            // legitimately falls back to a cold call; anything else here
-            // is itself a protocol violation and is answered with an
-            // error the checker will surface.
-            other => Some(Frame::CallError {
-                message: format!("checker: unmodeled frame {other:?}"),
-            }),
+    fn new(server: ServerNode) -> Self {
+        ServerSide {
+            server,
+            conn: Connection::new(WarmCaches::new()),
+            replies: VecDeque::new(),
+            faults: FaultFlags::default(),
         }
+    }
+
+    /// Dispatches one frame to the server through the engine, returning
+    /// what it answers.
+    fn dispatch(&mut self, frame: &Frame) -> Vec<Frame> {
+        engine_step(&mut self.conn, Host::Node(&mut self.server), frame)
     }
 }
 
 impl Transport for ServerSide {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        if let Some(reply) = self.dispatch(frame) {
-            self.replies.push_back(reply);
-        }
+        let out = self.dispatch(frame);
+        self.replies.extend(out);
         Ok(())
     }
 
@@ -429,12 +383,7 @@ impl World {
 
         World {
             client,
-            link: ServerSide {
-                server,
-                caches: WarmCaches::new(),
-                replies: VecDeque::new(),
-                faults: FaultFlags::default(),
-            },
+            link: ServerSide::new(server),
             root,
             twin,
             twin_root,
@@ -484,7 +433,7 @@ impl World {
         ) else {
             return; // no client session: the next call reseeds wholesale
         };
-        if self.link.caches.generation_of(cache_id) != Some(client_gen) {
+        if self.link.conn.warm().generation_of(cache_id) != Some(client_gen) {
             return; // server entry gone or out of step: reseed, not repair
         }
         if let Ok(Value::Int(d)) = self.link.server.state.heap.get_field(server_root, "data") {
@@ -599,7 +548,10 @@ impl World {
     fn do_prune(&mut self, report: &mut Report) {
         // A prune only writes the root when there is something to cut;
         // both heaps agree on that by lockstep construction.
-        if matches!(self.client.state.heap.get_ref(self.root, "left"), Ok(Some(_))) {
+        if matches!(
+            self.client.state.heap.get_ref(self.root, "left"),
+            Ok(Some(_))
+        ) {
             self.client_wrote_root = true;
         }
         for (heap, root) in [
@@ -701,9 +653,14 @@ impl World {
             }
             _ => unreachable!("inject only models adversarial contexts"),
         };
-        match self.link.dispatch(&frame) {
+        // The reply is the step's last frame. Anything before it is a
+        // `CacheStale` push for the honest session — addressed to a
+        // client that is not reading here, so it is dropped; the
+        // honest session converges anyway, because its next reply
+        // delta ships every position its call rewrites.
+        match self.link.dispatch(&frame).last() {
             Some(reply) => {
-                if let Some(diag) = judge_reply(ctx, &reply) {
+                if let Some(diag) = judge_reply(ctx, reply) {
                     report.push(diag);
                 }
             }
@@ -742,7 +699,7 @@ impl World {
         };
         // The server may legitimately have dropped the entry (coherence,
         // injection); lockstep only binds while both sides are live.
-        if let Some(server_gen) = self.link.caches.generation_of(cache_id) {
+        if let Some(server_gen) = self.link.conn.warm().generation_of(cache_id) {
             if server_gen != client_gen {
                 report.push(
                     Diagnostic::error(
@@ -856,7 +813,7 @@ impl Transport for LossyLink {
             1
         };
         for _ in 0..copies {
-            if let Some(reply) = side.dispatch(frame) {
+            for reply in side.dispatch(frame) {
                 if side.faults.drop_replies > 0 {
                     side.faults.drop_replies -= 1; // the reply is lost
                 } else {
@@ -886,8 +843,8 @@ impl Transport for LossyLink {
         // released (as serve_connection's teardown does) and queued
         // replies die with the old socket. The reply cache lives on the
         // node and survives — that is the property under test.
-        let ServerSide { server, caches, .. } = &mut *side;
-        caches.release_all(&mut server.state.heap);
+        let ServerSide { server, conn, .. } = &mut *side;
+        conn.close(&mut server.state.heap);
         side.replies.clear();
         Ok(true)
     }
@@ -939,12 +896,7 @@ impl ReliableWorld {
         let mut twin = Heap::new(registry.clone());
         let twin_root = build_tree(&mut twin, &registry);
 
-        let side = Arc::new(Mutex::new(ServerSide {
-            server,
-            caches: WarmCaches::new(),
-            replies: VecDeque::new(),
-            faults: FaultFlags::default(),
-        }));
+        let side = Arc::new(Mutex::new(ServerSide::new(server)));
         // Instant virtual time: the lossy link never blocks, so retries
         // are bounded by attempts, not wall clock.
         let policy = nrmi_core::RetryPolicy {
@@ -1193,84 +1145,23 @@ pub const SHARED_ALPHABET: [SharedAction; 6] = [
 ];
 
 /// One modeled connection's server half: a per-connection node minted by
-/// [`SharedServer::connection_node`], per-connection warm caches, and the
-/// *shared* reply cache consulted with the same begin/store discipline as
-/// `serve_connection_pooled`. Implements [`Transport`] for the client the
-/// same way [`ServerSide`] does: `send` dispatches synchronously, `recv`
-/// drains the reply queue.
+/// [`SharedServer::connection_node`] and the connection's engine state,
+/// stepped with the *shared* reply cache and bindings exactly as
+/// `serve_connection_pooled` steps them. Implements [`Transport`] for
+/// the client the same way [`ServerSide`] does: `send` dispatches
+/// synchronously, `recv` drains the reply queue.
 struct SharedLink {
     shared: Arc<nrmi_core::SharedServer>,
-    conn: ServerNode,
-    caches: WarmCaches,
+    node: ServerNode,
+    conn: Connection,
     replies: VecDeque<Frame>,
-}
-
-impl SharedLink {
-    fn dispatch(&mut self, frame: &Frame) -> Option<Frame> {
-        use nrmi_core::ReplyDecision;
-        match frame {
-            Frame::Tagged { nonce, seq, frame } => {
-                // The shared sharded cache, with the decide-mark-executing
-                // discipline of the pooled loop.
-                match self.shared.replies.begin(*nonce, *seq) {
-                    ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                        nonce: *nonce,
-                        seq: *seq,
-                        frame: Box::new(cached),
-                    }),
-                    ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                        nonce: *nonce,
-                        seq: *seq,
-                        frame: Box::new(nrmi_core::reliable::evicted_reply()),
-                    }),
-                    // Another "connection" is executing this nonce: the
-                    // pooled loop drops the duplicate unanswered.
-                    ReplyDecision::InProgress => None,
-                    ReplyDecision::Fresh => {
-                        let reply = self.dispatch(frame)?;
-                        self.shared.replies.store(*nonce, *seq, &reply);
-                        Some(Frame::Tagged {
-                            nonce: *nonce,
-                            seq: *seq,
-                            frame: Box::new(reply),
-                        })
-                    }
-                }
-            }
-            Frame::CallRequestWarm {
-                service,
-                method,
-                mode,
-                cache_id,
-                generation,
-                payload,
-            } => Some(server_handle_warm_call(
-                &mut self.conn,
-                &mut self.caches,
-                &mut NullTransport,
-                service,
-                method,
-                *mode,
-                *cache_id,
-                *generation,
-                payload,
-            )),
-            Frame::CacheEvict { cache_id } => {
-                self.caches.evict(&mut self.conn.state.heap, *cache_id);
-                None
-            }
-            other => Some(Frame::CallError {
-                message: format!("checker: unmodeled frame {other:?}"),
-            }),
-        }
-    }
 }
 
 impl Transport for SharedLink {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        if let Some(reply) = self.dispatch(frame) {
-            self.replies.push_back(reply);
-        }
+        let host = Host::Pool(&self.shared, Some(&mut self.node));
+        let out = engine_step(&mut self.conn, host, frame);
+        self.replies.extend(out);
         Ok(())
     }
 
@@ -1338,8 +1229,8 @@ impl SharedWorld {
             let twin_root = build_tree(&mut twin, &registry);
             let link = SharedLink {
                 shared: Arc::clone(&shared),
-                conn: shared.connection_node(),
-                caches: WarmCaches::new(),
+                node: shared.connection_node(),
+                conn: Connection::new(WarmCaches::new()),
                 replies: VecDeque::new(),
             };
             // Instant virtual time, as in the reliability model.
@@ -1484,12 +1375,12 @@ impl SharedWorld {
             (
                 "connection A",
                 "NRMI-P002",
-                &self.a.transport.inner().conn.state.heap,
+                &self.a.transport.inner().node.state.heap,
             ),
             (
                 "connection B",
                 "NRMI-P002",
-                &self.b.transport.inner().conn.state.heap,
+                &self.b.transport.inner().node.state.heap,
             ),
             ("oracle A", "NRMI-P001", &self.a.twin),
             ("oracle B", "NRMI-P001", &self.b.twin),
@@ -1570,8 +1461,9 @@ pub fn check_shared_sequence(actions: &[SharedAction]) -> Report {
 /// graphs behind one reply cache — this model shares the coherence
 /// surface itself: both endpoints hold warm sessions against ONE
 /// [`ServerNode`] heap, their [`WarmCaches`] built with
-/// [`WarmCaches::with_leases`] on the node's lease table exactly as
-/// `serve_connection_shared` builds them, and every call writes the
+/// [`WarmCaches::with_leases`] on the node's lease table exactly as a
+/// node serving several connections builds them (the big-lock baseline
+/// in `nrmi-bench`), and every call writes the
 /// *other* endpoint's server-side root out-of-band. Each step drives the
 /// real coherence machinery: version-vector staleness classification,
 /// `CacheStale` repair patches, the client-wins positional merge, and
@@ -1592,8 +1484,9 @@ pub enum SharedGraphAction {
     EvictA,
     /// Orderly client-driven eviction of B's warm session.
     EvictB,
-    /// Tear down A's server-side connection state (`release_all` + fresh
-    /// caches), as `serve_connection_shared` does when a client vanishes.
+    /// Tear down A's server-side connection state ([`Connection::close`],
+    /// then a fresh connection), as a serve loop does when a client
+    /// vanishes.
     /// B's leased session must survive with every synchronized object
     /// still alive; A reconnects through the `CacheMiss` reseed path.
     DropA,
@@ -1620,55 +1513,21 @@ type SgRegistry = Arc<Mutex<Vec<(&'static str, ObjId)>>>;
 
 /// One endpoint's connection half: the shared [`ServerNode`] behind a
 /// mutex (the model is sequential; the lock only shares ownership), this
-/// connection's own lease-registered [`WarmCaches`], and a reply queue.
-/// `send` dispatches synchronously like [`ServerSide`].
+/// connection's engine state with its own lease-registered
+/// [`WarmCaches`], and a reply queue. `send` dispatches synchronously
+/// like [`ServerSide`].
 struct SgLink {
     server: Arc<Mutex<ServerNode>>,
-    caches: WarmCaches,
+    conn: Connection,
     replies: VecDeque<Frame>,
-}
-
-impl SgLink {
-    fn dispatch(&mut self, frame: &Frame) -> Option<Frame> {
-        match frame {
-            Frame::CallRequestWarm {
-                service,
-                method,
-                mode,
-                cache_id,
-                generation,
-                payload,
-            } => {
-                let mut server = self.server.lock().expect("poisoned");
-                Some(server_handle_warm_call(
-                    &mut server,
-                    &mut self.caches,
-                    &mut NullTransport,
-                    service,
-                    method,
-                    *mode,
-                    *cache_id,
-                    *generation,
-                    payload,
-                ))
-            }
-            Frame::CacheEvict { cache_id } => {
-                let mut server = self.server.lock().expect("poisoned");
-                self.caches.evict(&mut server.state.heap, *cache_id);
-                None
-            }
-            other => Some(Frame::CallError {
-                message: format!("checker: unmodeled frame {other:?}"),
-            }),
-        }
-    }
 }
 
 impl Transport for SgLink {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        if let Some(reply) = self.dispatch(frame) {
-            self.replies.push_back(reply);
-        }
+        let mut server = self.server.lock().expect("poisoned");
+        let out = engine_step(&mut self.conn, Host::Node(&mut server), frame);
+        drop(server);
+        self.replies.extend(out);
         Ok(())
     }
 
@@ -1773,7 +1632,7 @@ impl SharedGraphWorld {
                 client,
                 link: SgLink {
                     server: Arc::clone(&server),
-                    caches: WarmCaches::with_leases(Arc::clone(&leases)),
+                    conn: Connection::new(WarmCaches::with_leases(Arc::clone(&leases))),
                     replies: VecDeque::new(),
                 },
                 root,
@@ -1827,7 +1686,7 @@ impl SharedGraphWorld {
         ) else {
             return;
         };
-        if ep.link.caches.generation_of(cache_id) != Some(client_gen) {
+        if ep.link.conn.warm().generation_of(cache_id) != Some(client_gen) {
             return;
         }
         let Some(server_root) = self
@@ -1922,9 +1781,9 @@ impl SharedGraphWorld {
         }
     }
 
-    /// Connection teardown for A, exactly as `serve_connection_shared`
-    /// runs it: `release_all` on THIS connection's caches, then the
-    /// connection state is gone. A's client keeps its (now dangling)
+    /// Connection teardown for A, exactly as the serve loops run it:
+    /// [`Connection::close`] on THIS connection, then the connection
+    /// state is gone. A's client keeps its (now dangling)
     /// warm session and must recover through `CacheMiss`; B's leased
     /// session must be untouched.
     fn do_drop_a(&mut self, _report: &mut Report) {
@@ -1934,9 +1793,9 @@ impl SharedGraphWorld {
             .retain(|(n, _)| *n != self.a.name);
         {
             let mut server = self.server.lock().expect("poisoned");
-            self.a.link.caches.release_all(&mut server.state.heap);
+            self.a.link.conn.close(&mut server.state.heap);
             let leases = Arc::clone(&server.leases);
-            self.a.link.caches = WarmCaches::with_leases(leases);
+            self.a.link.conn = Connection::new(WarmCaches::with_leases(leases));
         }
         self.a.link.replies.clear();
     }
@@ -1974,7 +1833,7 @@ impl SharedGraphWorld {
             let Some(cache_id) = ep.client.warm.cache_id(ep.svc) else {
                 continue;
             };
-            let Some(sync) = ep.link.caches.sync_ids_of(cache_id) else {
+            let Some(sync) = ep.link.conn.warm().sync_ids_of(cache_id) else {
                 continue;
             };
             for &id in sync {
@@ -2106,9 +1965,8 @@ struct PipeLink(Arc<Mutex<ServerSide>>);
 impl Transport for PipeLink {
     fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
         let mut side = self.0.lock().expect("poisoned");
-        if let Some(reply) = side.dispatch(frame) {
-            side.replies.push_back(reply);
-        }
+        let out = side.dispatch(frame);
+        side.replies.extend(out);
         Ok(())
     }
 
@@ -2198,12 +2056,7 @@ impl PipelinedWorld {
         let slot_a = slot(&mut client, &mut twin, 100);
         let slot_b = slot(&mut client, &mut twin, 200);
 
-        let side = Arc::new(Mutex::new(ServerSide {
-            server,
-            caches: WarmCaches::new(),
-            replies: VecDeque::new(),
-            faults: FaultFlags::default(),
-        }));
+        let side = Arc::new(Mutex::new(ServerSide::new(server)));
         // Instant virtual time, as in the reliability model: retries are
         // bounded by attempts, not wall clock.
         let policy = nrmi_core::RetryPolicy {
@@ -2456,9 +2309,11 @@ pub fn check_pipelined_sequence(actions: &[PipelinedAction]) -> Report {
 // ---------------------------------------------------------------------------
 
 /// One action of the reactor dispatch model: two client connections
-/// multiplexed through the **real** reactor step function
-/// ([`reactor_classify`]) onto a shared job queue drained by two
-/// worker nodes, with the checker in full control of execution order.
+/// multiplexed through the **real** engine step as the reactor runs it
+/// (no connection node, so fresh pipelineable calls offload) onto a
+/// shared job queue drained by two worker nodes running
+/// [`nrmi_core::run_offloaded`], with the checker in full control of
+/// execution order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReactorAction {
     /// Issue a copy-restore call on connection A: marshal with the real
@@ -2522,9 +2377,12 @@ struct ReactorConn {
 struct ReactorWorld {
     shared: Arc<nrmi_core::SharedServer>,
     conns: [ReactorConn; 2],
+    /// The reactor thread's engine: one for every connection, as in the
+    /// real reactor (its connections own no node, so no engine state).
+    engine: Connection,
     /// Queued jobs: (connection index, nonce, seq, inner call frame).
     jobs: VecDeque<(usize, u64, u64, Frame)>,
-    workers: Vec<(ServerNode, WarmCaches)>,
+    workers: Vec<ServerNode>,
     next_worker: usize,
     executions: Arc<std::sync::atomic::AtomicUsize>,
     dispatched: usize,
@@ -2586,11 +2444,10 @@ impl ReactorWorld {
         let conn_a = conn(0xAAAA_1111, 100);
         let conn_b = conn(0xBBBB_2222, 200);
 
-        let workers = (0..2)
-            .map(|_| (shared.connection_node(), WarmCaches::new()))
-            .collect();
+        let workers = (0..2).map(|_| shared.connection_node()).collect();
 
         ReactorWorld {
+            engine: Connection::with_workers(&shared, WarmCaches::new()),
             shared,
             conns: [conn_a, conn_b],
             jobs: VecDeque::new(),
@@ -2644,12 +2501,17 @@ impl ReactorWorld {
             frame: Box::new(frame),
         };
         self.conns[which].last_tagged = Some(tagged.clone());
-        match nrmi_core::reactor_classify(&self.shared, true, tagged) {
-            nrmi_core::ReactorStep::Offload {
+        let mut out = Vec::new();
+        let host = Host::Pool(&self.shared, None);
+        match self
+            .engine
+            .on_frame(host, &mut NullTransport, tagged, &mut out)
+        {
+            Ok(Step::Offload {
                 nonce,
                 seq: got_seq,
                 call,
-            } => {
+            }) => {
                 if nonce != self.conns[which].nonce || got_seq != seq {
                     report.push(Diagnostic::error(
                         "NRMI-P010",
@@ -2668,7 +2530,7 @@ impl ReactorWorld {
                 "NRMI-P010",
                 format!(
                     "conn {who}: a fresh pipelineable call must offload to the \
-                     worker pool; the reactor answered {other:?}"
+                     worker pool; the reactor answered {other:?} with {out:?}"
                 ),
             )),
         }
@@ -2683,31 +2545,30 @@ impl ReactorWorld {
         // worker heaps.
         let slot = self.next_worker % self.workers.len();
         self.next_worker += 1;
-        let (node, warm) = &mut self.workers[slot];
-        let reply = nrmi_core::dispatch_tagged(node, warm, &mut NullTransport, call);
+        let reply =
+            nrmi_core::run_offloaded(&self.shared, &mut self.workers[slot], nonce, seq, call);
         self.dispatched += 1;
-        self.shared.replies.store(nonce, seq, &reply);
-        self.conns[which].inbox.push_back(Frame::Tagged {
-            nonce,
-            seq,
-            frame: Box::new(reply),
-        });
+        self.conns[which].inbox.push_back(reply);
     }
 
     fn do_retransmit(&mut self, which: usize, who: &str, report: &mut Report) {
         let Some(tagged) = self.conns[which].last_tagged.clone() else {
             return;
         };
-        match nrmi_core::reactor_classify(&self.shared, true, tagged) {
+        let mut out = Vec::new();
+        let host = Host::Pool(&self.shared, None);
+        match self
+            .engine
+            .on_frame(host, &mut NullTransport, tagged, &mut out)
+        {
             // Still queued or executing: the duplicate is dropped
-            // unanswered and the client's next retransmission replays
-            // the stored reply.
-            nrmi_core::ReactorStep::Ignore => {}
-            // Executed: answered from the cache. Route it to the
-            // connection like any reply; a stale duplicate for an
-            // already-collected call just sits in the inbox, exactly as
-            // the client's demultiplexer discards unsolicited frames.
-            nrmi_core::ReactorStep::Reply(reply) => self.conns[which].inbox.push_back(reply),
+            // unanswered (nothing appended) and the client's next
+            // retransmission replays the stored reply. Executed:
+            // answered from the cache. Route it to the connection like
+            // any reply; a stale duplicate for an already-collected call
+            // just sits in the inbox, exactly as the client's
+            // demultiplexer discards unsolicited frames.
+            Ok(Step::Continue) => self.conns[which].inbox.extend(out),
             other => report.push(Diagnostic::error(
                 "NRMI-P010",
                 format!(
@@ -2821,7 +2682,7 @@ impl ReactorWorld {
                 }
             }
         }
-        for (i, (node, _)) in self.workers.iter().enumerate() {
+        for (i, node) in self.workers.iter().enumerate() {
             for v in validate(&node.state.heap) {
                 report.push(
                     Diagnostic::error("NRMI-P002", format!("worker {i} heap corrupted: {v}"))
@@ -3285,7 +3146,14 @@ mod tests {
             vec![G::CallA, G::CallB, G::MutateA, G::CallA, G::CallB],
             // Both sides write locally, then both call: client-wins on
             // both roots, no repair patch may clobber either.
-            vec![G::CallA, G::CallB, G::MutateA, G::MutateB, G::CallA, G::CallB],
+            vec![
+                G::CallA,
+                G::CallB,
+                G::MutateA,
+                G::MutateB,
+                G::CallA,
+                G::CallB,
+            ],
             // A's teardown while B holds a leased session on the same
             // heap: B's objects must survive, A reconnects via miss.
             vec![G::CallA, G::CallB, G::DropA, G::CallB, G::CallA],

@@ -10,7 +10,8 @@
 //! step 1 is [`nrmi_heap::LinearMap`]; steps 2–3 are the annotated
 //! marshalling in [`protocol`]; steps 4–6 are [`restore::apply_restore`].
 //! Everything else is the middleware that makes those steps a working
-//! RPC system: [`Session`] for connected client/server pairs,
+//! RPC system: [`engine`] for the one server dispatch step every serve
+//! loop drives, [`Session`] for connected client/server pairs,
 //! [`RemoteService`] for server objects, [`proxy`] for the
 //! remote-pointer world, and [`profile`] for the simulated 2003-hardware
 //! cost model behind the paper's tables.
@@ -56,6 +57,7 @@
 
 mod error;
 
+pub mod engine;
 pub mod export;
 pub mod interface;
 pub mod lockcheck;
@@ -74,6 +76,7 @@ pub mod trace;
 pub mod verify;
 pub mod warm;
 
+pub use engine::{run_offloaded, Connection, Host, Step};
 pub use error::NrmiError;
 pub use export::ExportTable;
 pub use interface::{InterfaceDef, MethodSig, ParamType, TypedService};
@@ -84,11 +87,10 @@ pub use node::{ClientNode, NodeHooks, NodeState, ServerNode};
 pub use profile::{CostModel, JdkGeneration, NrmiFlavor, RuntimeProfile};
 pub use protocol::{
     client_apply_reply, client_invoke, client_invoke_on_object_with_stats, client_invoke_pipelined,
-    client_invoke_with_stats, client_marshal_call, dispatch_tagged, serve_connection,
-    serve_connection_shared, CallStats, PendingCall, PipelinedCall,
+    client_invoke_with_stats, client_marshal_call, serve_connection, CallStats, PendingCall,
+    PipelinedCall,
 };
 pub use proxy::{handle_callback, ProxyStats, RemoteHeapProxy};
-pub use reactor::{reactor_classify, ReactorStep};
 pub use reliable::{
     fresh_nonce, ReliableTransport, ReplyCache, ReplyDecision, RetryPolicy, RetryStats,
     REPLY_EVICTED,
@@ -103,8 +105,7 @@ pub use session::{
 };
 pub use trace::{CallTrace, Tracer};
 pub use warm::{
-    client_evict_warm, client_invoke_warm_with_stats, dispatch_warm_frame,
-    dispatch_warm_frame_shared, new_lease_table, server_handle_warm_call, LeaseTable, WarmCaches,
+    client_evict_warm, client_invoke_warm_with_stats, dispatch_warm_frame, LeaseTable, WarmCaches,
     WarmSessions,
 };
 

@@ -1,7 +1,8 @@
 //! The remote-call protocol: marshalling, dispatch, and restore.
 //!
-//! One client entry point ([`client_invoke`]) and one server loop
-//! ([`serve_connection`]) implement all four calling semantics:
+//! One client entry point ([`client_invoke`]) and one server call
+//! handler (driven by [`crate::engine`]) implement all four calling
+//! semantics:
 //!
 //! * **Copy** — serialize arguments, run, serialize the return value.
 //! * **Copy-restore** — the paper's six-step algorithm end to end:
@@ -27,12 +28,13 @@ use nrmi_heap::{Heap, LinearMap, ObjId, SharedRegistry, Value};
 use nrmi_transport::{decode_rvals, encode_rvals, Frame, Transport, TransportError};
 use nrmi_wire::{apply_delta, deserialize_graph_with};
 
+use crate::engine::Connection;
 use crate::error::NrmiError;
-use crate::lockcheck::{allow_blocking, TrackedMutex};
 use crate::node::{ClientNode, NodeHooks, NodeState, ServerNode};
 use crate::proxy::{handle_callback, RemoteHeapProxy};
 use crate::restore::apply_restore;
 use crate::semantics::{CallOptions, PassMode};
+use crate::warm::WarmCaches;
 
 /// Determines which argument objects are copy-restore roots for a call.
 /// Both sides compute this identically (same registry, same argument
@@ -551,58 +553,17 @@ pub fn client_invoke_pipelined(
     Ok(results)
 }
 
-/// Handles one `CallRequest` on the server. Returns the reply frame
-/// (`CallReply` on success, `CallError` carrying the remote exception
-/// otherwise).
 /// What the server resolved a request to.
 #[derive(Clone, Copy, Debug)]
-enum Callee<'a> {
+pub(crate) enum Callee<'a> {
     Named(&'a str),
     Exported(u64),
 }
 
-/// Handles one named-service call against `server`, returning the reply
-/// frame. Entry point for serve loops living outside this module (the
-/// pooled per-connection loop in [`crate::server`]).
-pub(crate) fn server_handle_named_call(
-    server: &mut ServerNode,
-    transport: &mut dyn Transport,
-    service: &str,
-    method: &str,
-    mode_byte: u8,
-    payload: &[u8],
-) -> Frame {
-    server_handle_call(
-        server,
-        transport,
-        method,
-        Callee::Named(service),
-        mode_byte,
-        payload,
-    )
-}
-
-/// Handles one exported-object call against `server` (see
-/// [`server_handle_named_call`]).
-pub(crate) fn server_handle_object_call(
-    server: &mut ServerNode,
-    transport: &mut dyn Transport,
-    key: u64,
-    method: &str,
-    mode_byte: u8,
-    payload: &[u8],
-) -> Frame {
-    server_handle_call(
-        server,
-        transport,
-        method,
-        Callee::Exported(key),
-        mode_byte,
-        payload,
-    )
-}
-
-fn server_handle_call(
+/// Handles one call against `server`, returning the reply frame:
+/// `CallReply` on success, `CallError` carrying the remote exception
+/// otherwise.
+pub(crate) fn server_handle_call(
     server: &mut ServerNode,
     transport: &mut dyn Transport,
     method: &str,
@@ -805,257 +766,11 @@ fn server_handle_call_inner(
     Ok(Frame::CallReply { payload: enc.bytes })
 }
 
-/// Executes the call carried inside a [`Frame::Tagged`] envelope and
-/// returns its reply frame. Only call frames may travel tagged; anything
-/// else is a protocol error answered in-band so the client's retry loop
-/// terminates instead of retransmitting forever.
-///
-/// Public as the single-frame step function of the serve loop: protocol
-/// tooling (the `nrmi-check` model checker) dispatches frames one at a
-/// time through it, with full control over reply ordering.
-pub fn dispatch_tagged(
-    server: &mut ServerNode,
-    warm: &mut crate::warm::WarmCaches,
-    transport: &mut dyn Transport,
-    frame: Frame,
-) -> Frame {
-    match frame {
-        Frame::CallRequest {
-            service,
-            method,
-            mode,
-            payload,
-        } => server_handle_call(
-            server,
-            transport,
-            &method,
-            Callee::Named(&service),
-            mode,
-            &payload,
-        ),
-        Frame::CallObject {
-            key,
-            method,
-            mode,
-            payload,
-        } => server_handle_call(
-            server,
-            transport,
-            &method,
-            Callee::Exported(key),
-            mode,
-            &payload,
-        ),
-        Frame::CallRequestWarm {
-            service,
-            method,
-            mode,
-            cache_id,
-            generation,
-            payload,
-        } => crate::warm::server_handle_warm_call(
-            server, warm, transport, &service, &method, mode, cache_id, generation, &payload,
-        ),
-        other => Frame::CallError {
-            message: format!("frame cannot carry a call id: {other:?}"),
-        },
-    }
-}
-
-/// Big-lock shared-server variant of [`serve_connection`]: the server
-/// node sits behind one mutex and every connection thread locks it per
-/// request. **Retained only as the serialized baseline** for the
-/// `tables -- scaling` ablation; real multi-client servers use
-/// [`ServerPool`](crate::session::ServerPool), which replaces the big
-/// lock with per-connection node state, per-service mutexes, and a
-/// sharded reply cache.
-///
-/// Known limitation (the bug the pool fixes): the node lock is held
-/// across call execution *including mid-call callback traffic to the
-/// client*, so a client that stalls inside a callback blocks every
-/// other connection — and a client that never answers deadlocks them.
-///
-/// # Errors
-/// Returns transport errors other than orderly disconnect.
-pub fn serve_connection_shared(
-    server: &TrackedMutex<ServerNode>,
-    transport: &mut dyn Transport,
-) -> Result<(), NrmiError> {
-    // Warm-session caches are per CONNECTION, even over a shared node:
-    // each client can only address sessions it seeded itself. Evictions
-    // go through the node's lease table, because different connections'
-    // sessions CAN cover the same heap objects here (the shared-graph
-    // case the scaling ablation contends on).
-    let leases = server.lock().leases.clone();
-    let mut warm = crate::warm::WarmCaches::with_leases(leases);
-    let result = serve_connection_shared_inner(server, transport, &mut warm);
-    warm.release_all(&mut server.lock().state.heap);
-    result
-}
-
-fn serve_connection_shared_inner(
-    server: &TrackedMutex<ServerNode>,
-    transport: &mut dyn Transport,
-    warm: &mut crate::warm::WarmCaches,
-) -> Result<(), NrmiError> {
-    // Designed-in hold (DESIGN.md §3i): this baseline keeps the node
-    // lock across call execution including callback I/O — that is
-    // exactly the limitation documented above and measured by the
-    // scaling ablation, so the witness records it as accepted rather
-    // than as NRMI-L002.
-    let _allow = allow_blocking(
-        "big-lock baseline holds the node lock across callback I/O by documented design",
-    );
-    loop {
-        let frame = match transport.recv() {
-            Ok(frame) => frame,
-            Err(TransportError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e.into()),
-        };
-        match frame {
-            Frame::Shutdown => return Ok(()),
-            // One dispatcher for warm calls and evictions, shared with
-            // every other serve loop. It returns pushed `CacheStale`
-            // invalidations — for THIS connection's other sessions that
-            // a peer's call staled — ahead of the call's own reply.
-            frame @ (Frame::CallRequestWarm { .. } | Frame::CacheEvict { .. }) => {
-                let out =
-                    crate::warm::dispatch_warm_frame_shared(server, warm, transport, frame, true);
-                for reply in out {
-                    transport.send(&reply)?;
-                }
-            }
-            Frame::Lookup { name } => {
-                let found = server.lock().is_bound(&name);
-                transport.send(&Frame::LookupReply { found })?;
-            }
-            Frame::CallRequest {
-                service,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = server_handle_call(
-                    &mut server.lock(),
-                    transport,
-                    &method,
-                    Callee::Named(&service),
-                    mode,
-                    &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::CallObject {
-                key,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = server_handle_call(
-                    &mut server.lock(),
-                    transport,
-                    &method,
-                    Callee::Exported(key),
-                    mode,
-                    &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::DgcClean { key } => {
-                server.lock().state.exports.clean(key);
-            }
-            Frame::Tagged { nonce, seq, frame } => {
-                use crate::reliable::ReplyDecision;
-                let reply = match *frame {
-                    Frame::CallRequestWarm {
-                        service,
-                        method,
-                        mode,
-                        cache_id,
-                        generation,
-                        payload,
-                    } => {
-                        // The warm handler takes the mutex itself, so the
-                        // decision and store use separate lock scopes.
-                        // `begin` bridges the gap: it marks the id as
-                        // executing while still under the lock, so a
-                        // reconnect retransmission of the same id racing
-                        // in on ANOTHER connection reads InProgress —
-                        // never a second Fresh.
-                        let decision = server.lock().replies.begin(nonce, seq);
-                        match decision {
-                            ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                                nonce,
-                                seq,
-                                frame: Box::new(cached),
-                            }),
-                            ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                                nonce,
-                                seq,
-                                frame: Box::new(crate::reliable::evicted_reply()),
-                            }),
-                            ReplyDecision::InProgress => None,
-                            ReplyDecision::Fresh => {
-                                let reply = crate::warm::server_handle_warm_call_shared(
-                                    server, warm, transport, &service, &method, mode, cache_id,
-                                    generation, &payload,
-                                );
-                                server.lock().replies.store(nonce, seq, &reply);
-                                Some(Frame::Tagged {
-                                    nonce,
-                                    seq,
-                                    frame: Box::new(reply),
-                                })
-                            }
-                        }
-                    }
-                    inner => {
-                        // Cold calls: one guard spans decide + execute +
-                        // store, so two connections retrying the same id
-                        // can never both execute it.
-                        let mut guard = server.lock();
-                        match guard.replies.begin(nonce, seq) {
-                            ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                                nonce,
-                                seq,
-                                frame: Box::new(cached),
-                            }),
-                            ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                                nonce,
-                                seq,
-                                frame: Box::new(crate::reliable::evicted_reply()),
-                            }),
-                            ReplyDecision::InProgress => None,
-                            ReplyDecision::Fresh => {
-                                let reply = dispatch_tagged(&mut guard, warm, transport, inner);
-                                guard.replies.store(nonce, seq, &reply);
-                                Some(Frame::Tagged {
-                                    nonce,
-                                    seq,
-                                    frame: Box::new(reply),
-                                })
-                            }
-                        }
-                    }
-                };
-                // An in-progress duplicate gets no reply at all: the
-                // client's next retransmission (after the original
-                // execution stores) is answered from the cache.
-                if let Some(reply) = reply {
-                    transport.send(&reply)?;
-                }
-            }
-            other => {
-                return Err(NrmiError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
-    }
-}
-
 /// Serves one connection until the peer disconnects or sends `Shutdown`.
 /// This is the server's main loop (one per connection; the paper's
 /// servers are single-threaded per client, multi-threaded across
-/// clients).
+/// clients): the blocking driver over the connection engine
+/// ([`crate::engine`]), with `server`'s own reply cache and bindings.
 ///
 /// # Errors
 /// Returns transport errors other than orderly disconnect.
@@ -1063,113 +778,8 @@ pub fn serve_connection(
     server: &mut ServerNode,
     transport: &mut dyn Transport,
 ) -> Result<(), NrmiError> {
-    let mut warm = crate::warm::WarmCaches::with_leases(server.leases.clone());
-    let result = serve_connection_inner(server, transport, &mut warm);
-    // Connection teardown (orderly or not) releases the cached session
-    // graphs — the warm analogue of DGC cleaning a disconnected client.
-    warm.release_all(&mut server.state.heap);
+    let mut conn = Connection::new(WarmCaches::with_leases(server.leases.clone()));
+    let result = crate::server::serve_blocking(None, server, &mut conn, transport, Vec::new());
+    conn.close(&mut server.state.heap);
     result
-}
-
-fn serve_connection_inner(
-    server: &mut ServerNode,
-    transport: &mut dyn Transport,
-    warm: &mut crate::warm::WarmCaches,
-) -> Result<(), NrmiError> {
-    loop {
-        let frame = match transport.recv() {
-            Ok(frame) => frame,
-            Err(TransportError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e.into()),
-        };
-        match frame {
-            Frame::Shutdown => return Ok(()),
-            // One dispatcher for warm calls and evictions, shared with
-            // every other serve loop. On a single-connection node the
-            // pushes repair sessions this connection's own calls staled
-            // through aliased server state (`serve_class` methods,
-            // exported-object calls touching a cached graph).
-            frame @ (Frame::CallRequestWarm { .. } | Frame::CacheEvict { .. }) => {
-                let out = crate::warm::dispatch_warm_frame(server, warm, transport, frame, true);
-                for reply in out {
-                    transport.send(&reply)?;
-                }
-            }
-            Frame::Lookup { name } => {
-                let found = server.is_bound(&name);
-                transport.send(&Frame::LookupReply { found })?;
-            }
-            Frame::CallRequest {
-                service,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = server_handle_call(
-                    server,
-                    transport,
-                    &method,
-                    Callee::Named(&service),
-                    mode,
-                    &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::CallObject {
-                key,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = server_handle_call(
-                    server,
-                    transport,
-                    &method,
-                    Callee::Exported(key),
-                    mode,
-                    &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::DgcClean { key } => {
-                server.state.exports.clean(key);
-            }
-            Frame::Tagged { nonce, seq, frame } => {
-                use crate::reliable::ReplyDecision;
-                let reply = match server.replies.begin(nonce, seq) {
-                    ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(cached),
-                    }),
-                    ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(crate::reliable::evicted_reply()),
-                    }),
-                    // Unreachable on a single-threaded node (begin and
-                    // store never straddle a frame); drop for safety.
-                    ReplyDecision::InProgress => None,
-                    ReplyDecision::Fresh => {
-                        let reply = dispatch_tagged(server, warm, transport, *frame);
-                        server.replies.store(nonce, seq, &reply);
-                        Some(Frame::Tagged {
-                            nonce,
-                            seq,
-                            frame: Box::new(reply),
-                        })
-                    }
-                };
-                if let Some(reply) = reply {
-                    transport.send(&reply)?;
-                }
-            }
-            other => {
-                // Callbacks addressed at the server's exports (a client
-                // holding stubs to server objects between calls is not
-                // part of this protocol version).
-                return Err(NrmiError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
-    }
 }

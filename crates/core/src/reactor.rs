@@ -7,43 +7,40 @@
 //! ## Division of labor
 //!
 //! * **The reactor thread** accepts, reads frames as they become
-//!   complete, classifies each one ([`reactor_classify`]), answers
-//!   cache hits and lookups inline, and queues fresh pipelineable cold
-//!   calls to a small **fixed worker pool** shared by *all* connections
-//!   (contrast the pipelined pooled loop, which spawns a writer plus
-//!   [`PIPELINE_WORKERS`](super::server) per connection).
-//! * **Workers** execute against per-worker private node state (the
-//!   same isolation a pooled connection gets), record replies in the
-//!   shared at-most-once cache, and hand the reply frame back to the
-//!   reactor through a completion channel, waking the poller.
+//!   complete, and runs each one through the connection engine
+//!   ([`crate::engine`]) with no connection node: cache hits and
+//!   lookups are answered inline, and fresh pipelineable cold calls are
+//!   queued to a small **fixed worker pool** shared by *all* connections
+//!   (contrast the pipelined pooled driver, which spawns a writer plus
+//!   its own workers per connection).
+//! * **Workers** run the engine's worker step
+//!   ([`crate::engine::run_offloaded`]) against
+//!   per-worker private node state (the same isolation a pooled
+//!   connection gets), recording replies in the shared at-most-once
+//!   cache, and hand the reply frame back to the reactor through a
+//!   completion channel, waking the poller.
 //! * **Exclusive traffic** — warm calls, object calls, remote-ref
-//!   calls, cache evictions, DGC cleans — *escalates* the connection to
-//!   a dedicated thread running the PR 5/6 blocking loop
-//!   ([`serve_connection_escalated`](super::server)): the reactor stops
-//!   reading, waits for the connection's in-flight worker jobs to
-//!   complete and its output queue to drain (so no two threads ever
-//!   write one socket), restores blocking mode, and hands over the
-//!   socket plus any frames it had read past the trigger. Idle
-//!   connections therefore hold **no** node state: a connection node is
-//!   created lazily, only on escalation or in a worker.
+//!   calls, cache evictions, DGC cleans — needs a node, so the engine
+//!   answers it with an escalation: the reactor stops reading the
+//!   connection, waits for its in-flight worker jobs to complete and
+//!   its output queue to drain (so no two threads ever write one
+//!   socket), restores blocking mode, and hands the socket plus every
+//!   frame it had read past the trigger to a dedicated thread running
+//!   the pooled drivers. Idle connections therefore hold **no** node
+//!   state: a connection node is created lazily, only on escalation or
+//!   in a worker.
 //!
 //! ## Protocol invariants
 //!
-//! The reactor changes *who blocks*, never the protocol. The
-//! begin/execute/store discipline of the sharded reply cache is
-//! identical to the pooled loops — [`reactor_classify`] is the single
-//! place a reactor consults it, and escalation-triggering frames are
-//! handed over *before* any `begin`, so the escalated loop's own
-//! classification is the first and only one. Backpressure mirrors the
-//! bounded pipelined queues: a connection above its in-flight or
-//! queued-output watermark simply stops being read until it drains,
-//! leaving the excess in kernel socket buffers where the client's TCP
-//! window absorbs it.
+//! The reactor changes *who blocks*, never the protocol: its frames go
+//! through the same engine step as every other serve loop's. The engine
+//! escalates a frame *before* consulting the reply cache, so the
+//! escalated thread's classification is the first and only one.
+//! Backpressure mirrors the bounded pipelined queues: a connection
+//! above its in-flight or queued-output watermark simply stops being
+//! read until it drains, leaving the excess in kernel socket buffers
+//! where the client's TCP window absorbs it.
 
-// The classification step ([`ReactorStep`], [`reactor_classify`]) is
-// pure protocol logic and compiles everywhere — the model checker
-// enumerates it on any platform. Only the poll(2) event loop itself is
-// unix-only.
 #[cfg(unix)]
 use std::collections::{HashMap, VecDeque};
 #[cfg(unix)]
@@ -57,24 +54,26 @@ use std::time::{Duration, Instant};
 
 #[cfg(unix)]
 use nrmi_transport::poller::{Event, Interest, Poller, Token};
-use nrmi_transport::Frame;
 #[cfg(unix)]
-use nrmi_transport::{PollableListener, ReactorIo, SendQueue};
+use nrmi_transport::{Frame, PollableListener, ReactorIo, SendQueue};
 
+#[cfg(unix)]
+use crate::engine::{run_offloaded, Connection, Host, NoCallbackTransport, Step};
 #[cfg(unix)]
 use crate::error::NrmiError;
 #[cfg(unix)]
 use crate::lockcheck::{LockClass, TrackedMutex};
-use crate::reliable::{evicted_reply, ReplyDecision};
-use crate::server::{is_pipelineable, SharedServer};
 #[cfg(unix)]
-use crate::server::{serve_connection_escalated, NoCallbackTransport};
+use crate::server::{serve_pooled, SharedServer};
 #[cfg(unix)]
 use crate::session::LiveGuard;
+#[cfg(unix)]
+use crate::warm::WarmCaches;
 
 /// Worker threads executing pipelineable cold calls for the whole
 /// reactor — fixed, regardless of connection count.
-pub(crate) const REACTOR_WORKERS: usize = 4;
+#[cfg(unix)]
+const REACTOR_WORKERS: usize = 4;
 
 /// Tagged calls a single connection may have queued or executing before
 /// the reactor stops reading it.
@@ -99,76 +98,6 @@ const JOB_OVERFLOW_PAUSE: usize = 256;
 /// How long shutdown drains busy connections before force-closing them.
 #[cfg(unix)]
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
-
-/// What the reactor does with one decoded frame — the reactor's step
-/// function, factored out so the model checker can enumerate it
-/// directly (P010).
-#[derive(Debug)]
-pub enum ReactorStep {
-    /// Queue this reply on the connection immediately (lookup answers,
-    /// reply-cache hits, evicted-reply errors).
-    Reply(Frame),
-    /// Hand the call to the worker pool; the reply cache has marked
-    /// `(nonce, seq)` executing.
-    Offload {
-        /// Session nonce of the call id.
-        nonce: u64,
-        /// Sequence number of the call id.
-        seq: u64,
-        /// The inner (untagged) call frame to execute.
-        call: Frame,
-    },
-    /// Drop the frame unanswered: a duplicate of a call currently
-    /// executing (the client's next retransmission replays the stored
-    /// reply).
-    Ignore,
-    /// Exclusive traffic: escalate the connection to a dedicated
-    /// blocking thread, handing this frame over unprocessed. The reply
-    /// cache has *not* been consulted — the escalated loop performs the
-    /// first and only `begin` for it.
-    Escalate(Frame),
-    /// Orderly end of the connection (`Shutdown`).
-    Close,
-}
-
-/// Classifies one frame exactly as the reactor serve loop does. Public
-/// so the model checker enumerates the real step function rather than a
-/// transcription; `offload` is [`SharedServer::offloadable`] snapshotted
-/// at accept (false routes every tagged call to escalation, preserving
-/// single-thread execution for remote-ref schemas).
-pub fn reactor_classify(shared: &SharedServer, offload: bool, frame: Frame) -> ReactorStep {
-    match frame {
-        Frame::Shutdown => ReactorStep::Close,
-        Frame::Lookup { name } => ReactorStep::Reply(Frame::LookupReply {
-            found: shared.is_bound(&name),
-        }),
-        Frame::Tagged { nonce, seq, frame } if offload && is_pipelineable(&frame) => {
-            // Decide-mark-executing on the nonce's shard, execute with
-            // no shard lock held, store — the PR 4/5/6 discipline. The
-            // escalation guard above matters for ordering: only frames
-            // the reactor itself will execute are ever begun here.
-            match shared.replies.begin(nonce, seq) {
-                ReplyDecision::Replay(cached) => ReactorStep::Reply(Frame::ReplyCached {
-                    nonce,
-                    seq,
-                    frame: Box::new(cached),
-                }),
-                ReplyDecision::Evicted => ReactorStep::Reply(Frame::ReplyCached {
-                    nonce,
-                    seq,
-                    frame: Box::new(evicted_reply()),
-                }),
-                ReplyDecision::InProgress => ReactorStep::Ignore,
-                ReplyDecision::Fresh => ReactorStep::Offload {
-                    nonce,
-                    seq,
-                    call: *frame,
-                },
-            }
-        }
-        other => ReactorStep::Escalate(other),
-    }
-}
 
 /// A call in flight to the worker pool: (connection token, nonce, seq,
 /// inner call frame).
@@ -206,7 +135,6 @@ impl<C> Conn<C> {
 /// [`ServerPool`](crate::session::ServerPool).
 #[cfg(unix)]
 pub(crate) struct ReactorConfig {
-    pub workers: usize,
     pub max_live: usize,
     pub max_total: Option<usize>,
 }
@@ -243,13 +171,17 @@ where
     listener.set_nonblocking(true)?;
     poller.register(LISTENER, listener.raw_fd(), Interest::READABLE);
 
-    let offload = shared.offloadable();
+    // Reactor connections own no engine state: without a node, every
+    // frame that would touch one escalates, so one engine steps all of
+    // them.
+    let mut engine = Connection::with_workers(&shared, WarmCaches::new());
+    let mut out: Vec<Frame> = Vec::new();
     let (job_tx, job_rx) = mpsc::sync_channel::<ReactorJob>(JOB_QUEUE);
     let (done_tx, done_rx) = mpsc::channel::<(usize, Frame)>();
     let job_rx = Arc::new(TrackedMutex::new(LockClass::ReactorQueue, job_rx));
     let waker = poller.waker();
     let mut worker_handles = Vec::new();
-    for _ in 0..config.workers {
+    for _ in 0..REACTOR_WORKERS {
         let shared = Arc::clone(&shared);
         let job_rx = Arc::clone(&job_rx);
         let done_tx = done_tx.clone();
@@ -259,29 +191,17 @@ where
             // service mutexes and reply-cache shards, like pooled
             // connections do.
             let mut node = shared.connection_node();
-            let mut warm = crate::warm::WarmCaches::new();
-            let mut io = NoCallbackTransport;
             loop {
                 let job = job_rx.lock().recv();
                 let Ok((token, nonce, seq, call)) = job else {
                     break;
                 };
-                let reply = crate::protocol::dispatch_tagged(&mut node, &mut warm, &mut io, call);
-                shared.replies.store(nonce, seq, &reply);
-                let done = done_tx.send((
-                    token,
-                    Frame::Tagged {
-                        nonce,
-                        seq,
-                        frame: Box::new(reply),
-                    },
-                ));
-                if done.is_err() {
+                let reply = run_offloaded(&shared, &mut node, nonce, seq, call);
+                if done_tx.send((token, reply)).is_err() {
                     break;
                 }
                 waker.wake();
             }
-            warm.release_all(&mut node.state.heap);
         }));
     }
     drop(done_tx);
@@ -330,7 +250,7 @@ where
                     let handle = std::thread::spawn(move || {
                         let _guard = LiveGuard(live);
                         let mut transport = conn.io;
-                        let _ = serve_connection_escalated(&shared, &mut transport, stash);
+                        let _ = serve_pooled(&shared, &mut transport, stash);
                     });
                     ctl.escalated.lock().push(handle);
                     // The escalated thread's LiveGuard now owns the
@@ -455,7 +375,15 @@ where
                 }
             }
             if !dead && (event.readable || event.hangup) {
-                dead = read_burst(&shared, offload, token, conn, &job_tx, &mut overflow);
+                dead = read_burst(
+                    &shared,
+                    &mut engine,
+                    &mut out,
+                    token,
+                    conn,
+                    &job_tx,
+                    &mut overflow,
+                );
             }
             if dead {
                 poller.deregister(Token(token));
@@ -471,7 +399,15 @@ where
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            if read_burst(&shared, offload, token, conn, &job_tx, &mut overflow) {
+            if read_burst(
+                &shared,
+                &mut engine,
+                &mut out,
+                token,
+                conn,
+                &job_tx,
+                &mut overflow,
+            ) {
                 poller.deregister(Token(token));
                 conns.remove(&token);
                 ctl.live.fetch_sub(1, Ordering::SeqCst);
@@ -565,7 +501,8 @@ where
 #[cfg(unix)]
 fn read_burst<C: ReactorIo>(
     shared: &SharedServer,
-    offload: bool,
+    engine: &mut Connection,
+    out: &mut Vec<Frame>,
     token: usize,
     conn: &mut Conn<C>,
     job_tx: &mpsc::SyncSender<ReactorJob>,
@@ -592,17 +529,23 @@ fn read_burst<C: ReactorIo>(
             // retransmission.
             Err(_) => return true,
         };
-        match reactor_classify(shared, offload, frame) {
+        let step = engine.on_frame(
+            Host::Pool(shared, None),
+            &mut NoCallbackTransport,
+            frame,
+            out,
+        );
+        for reply in out.drain(..) {
             // An oversized reply cannot be framed: the stream is still
             // in sync (nothing was queued), but the call can never be
             // answered — close the connection rather than hang it.
-            ReactorStep::Reply(reply) => {
-                if conn.out.push(&reply).is_err() {
-                    conn.closing = true;
-                    return false;
-                }
+            if conn.out.push(&reply).is_err() {
+                conn.closing = true;
             }
-            ReactorStep::Offload { nonce, seq, call } => {
+        }
+        match step {
+            Ok(Step::Continue) if !conn.closing => {}
+            Ok(Step::Offload { nonce, seq, call }) => {
                 conn.in_flight += 1;
                 let job = (token, nonce, seq, call);
                 // Never block the reactor: spill to the overflow queue
@@ -614,15 +557,16 @@ fn read_burst<C: ReactorIo>(
                     overflow.push_back(job);
                 }
             }
-            ReactorStep::Ignore => {}
-            ReactorStep::Escalate(trigger) => {
+            Ok(Step::Escalate(trigger)) => {
                 conn.escalation = Some(vec![trigger]);
                 // Keep draining frames already decodable so they reach
                 // the stash instead of lingering unread; the next
                 // readiness events stop at the guard above.
                 return drain_to_stash(conn);
             }
-            ReactorStep::Close => {
+            // `Shutdown`, an unanswerable reply, or a frame no client
+            // may send: flush what is queued, then drop the connection.
+            Ok(Step::Continue | Step::Close) | Err(_) => {
                 conn.closing = true;
                 return false;
             }

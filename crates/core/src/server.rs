@@ -1,12 +1,14 @@
 //! The fine-grained shared server: what several connection threads
 //! dispatch into *without* a one-big-lock [`ServerNode`].
 //!
-//! The old shared path (`serve_connection_shared`) funnels every
-//! connection through one `Mutex<ServerNode>` held across call
-//! execution — including mid-call callback traffic to the calling
-//! client — so one stalled client freezes every other connection
-//! (head-of-line blocking). This module splits that state by how it is
-//! actually shared:
+//! A node behind one mutex (the big-lock baseline the `nrmi-bench`
+//! scaling ablation measures) funnels every connection through one
+//! `Mutex<ServerNode>` held across call execution — including mid-call
+//! callback traffic to the calling client — so one stalled client
+//! freezes every other connection (head-of-line blocking). This module
+//! splits that state by how it is actually shared, and hosts the
+//! blocking and pipelined drivers over the connection engine
+//! ([`crate::engine`]):
 //!
 //! * **Bindings** (name → service, class → service) are read-mostly:
 //!   they live behind an [`RwLock`](crate::lockcheck::TrackedRwLock) and are
@@ -48,14 +50,16 @@ use nrmi_transport::{
     Frame, MachineSpec, SimEnv, Transport, TransportError, TransportReceiver, TransportSender,
 };
 
+use crate::engine::{run_offloaded, Connection, Host, Step};
 use crate::error::NrmiError;
 use crate::lockcheck::{allow_blocking, LockClass, TrackedMutex, TrackedRwLock};
 use crate::node::{NodeState, ServerNode};
 use crate::profile::RuntimeProfile;
 use crate::reliable::{
-    evicted_reply, ReplyCache, ReplyDecision, DEFAULT_REPLY_CACHE_BYTES, DEFAULT_REPLY_CACHE_NONCES,
+    ReplyCache, ReplyDecision, DEFAULT_REPLY_CACHE_BYTES, DEFAULT_REPLY_CACHE_NONCES,
 };
 use crate::service::RemoteService;
+use crate::warm::WarmCaches;
 
 /// A service binding shared across connection threads: the service body
 /// runs under its own mutex, the `synchronized`-method analogue. The
@@ -365,10 +369,9 @@ impl SharedServer {
 }
 
 /// Serves one connection against the lock-split [`SharedServer`] until
-/// the peer disconnects or sends `Shutdown`. This is the pooled
-/// replacement for `serve_connection_shared`: the connection's heap,
-/// warm caches, and codec scratch are private, so a stalled client —
-/// even one blocked mid-call inside a callback — holds nothing another
+/// the peer disconnects or sends `Shutdown`. The connection's heap, warm
+/// caches, and codec scratch are private, so a stalled client — even
+/// one blocked mid-call inside a callback — holds nothing another
 /// connection waits on except the mutex of the service it is executing
 /// in.
 ///
@@ -379,7 +382,7 @@ impl SharedServer {
 /// call id), and — for schemas with no remote-marked classes — a small
 /// worker pool executes tagged cold calls concurrently. A client that
 /// keeps N calls in flight then pays one round-trip for the batch, not
-/// N. Transports that cannot split fall back to the serial loop.
+/// N. Transports that cannot split are served by the blocking driver.
 ///
 /// # Errors
 /// Returns transport errors other than orderly disconnect.
@@ -387,20 +390,78 @@ pub fn serve_connection_pooled(
     shared: &SharedServer,
     transport: &mut dyn Transport,
 ) -> Result<(), NrmiError> {
-    let mut conn = shared.connection_node();
-    let mut warm = crate::warm::WarmCaches::with_leases(conn.leases.clone());
-    let result = match transport.split() {
-        Some((sender, receiver)) => {
-            serve_connection_pipelined(shared, &mut conn, &mut warm, sender, receiver)
-        }
-        None => serve_connection_pooled_inner(shared, &mut conn, &mut warm, transport),
+    serve_pooled(shared, transport, Vec::new())
+}
+
+/// [`serve_connection_pooled`] with `stash` — frames already read off
+/// the transport — processed first, in order. The reactor escalates a
+/// connection through here, handing over the frames it read past the
+/// escalation trigger; the connection node is created here, lazily:
+/// reactor-owned connections carry no node state until they need it.
+pub(crate) fn serve_pooled(
+    shared: &SharedServer,
+    transport: &mut dyn Transport,
+    stash: Vec<Frame>,
+) -> Result<(), NrmiError> {
+    let mut node = shared.connection_node();
+    let warm = WarmCaches::with_leases(node.leases.clone());
+    let (mut conn, halves) = match transport.split() {
+        Some(halves) => (Connection::with_workers(shared, warm), Some(halves)),
+        None => (Connection::new(warm), None),
     };
-    // Disconnect releases the connection's cached warm-session graphs;
-    // the rest of the private heap (cold-call copies included) goes
-    // with the node itself, so a long-lived server no longer
-    // accumulates call copies across clients.
-    warm.release_all(&mut conn.state.heap);
+    let result = match halves {
+        Some((sender, receiver)) => {
+            serve_pipelined(shared, &mut node, &mut conn, sender, receiver, stash)
+        }
+        None => serve_blocking(Some(shared), &mut node, &mut conn, transport, stash),
+    };
+    // Disconnect releases the connection's warm sessions; the rest of
+    // the private heap (cold-call copies included) goes with the node
+    // itself, so a long-lived server does not accumulate call copies
+    // across clients.
+    conn.close(&mut node.state.heap);
     result
+}
+
+/// The blocking driver: reads one frame at a time (`stash` first), runs
+/// it through the engine on this thread, and writes what the step
+/// produced before reading again. `shared` is the pool the connection
+/// belongs to, or `None` when `node` serves it alone.
+pub(crate) fn serve_blocking(
+    shared: Option<&SharedServer>,
+    node: &mut ServerNode,
+    conn: &mut Connection,
+    transport: &mut dyn Transport,
+    stash: Vec<Frame>,
+) -> Result<(), NrmiError> {
+    let mut stash = stash.into_iter();
+    let mut out = Vec::new();
+    loop {
+        let frame = match stash.next() {
+            Some(frame) => frame,
+            None => match transport.recv() {
+                Ok(frame) => frame,
+                Err(TransportError::Disconnected) => return Ok(()),
+                Err(e) => return Err(e.into()),
+            },
+        };
+        let host = match shared {
+            Some(shared) => Host::Pool(shared, Some(&mut *node)),
+            None => Host::Node(&mut *node),
+        };
+        let step = conn.on_frame(host, transport, frame, &mut out)?;
+        for frame in out.drain(..) {
+            transport.send(&frame)?;
+        }
+        match step {
+            Step::Continue => {}
+            Step::Close => return Ok(()),
+            // The host has a node and the connection no workers.
+            Step::Offload { .. } | Step::Escalate(_) => {
+                unreachable!("a blocking connection executes every frame itself")
+            }
+        }
+    }
 }
 
 /// Workers executing tagged cold calls concurrently for one pipelined
@@ -424,59 +485,21 @@ const PIPELINE_JOB_QUEUE: usize = 64;
 /// A tagged request queued for a pipeline worker.
 type PipelineJob = (u64, u64, Frame);
 
-/// Calls a pipeline worker may execute out of order against its own
-/// node: cold named-service calls under a copy semantics. Remote-ref
-/// calls interleave callbacks with the reply stream, warm calls mutate
-/// the connection's cache generations, and object calls address the
-/// connection node's export table — all of those stay exclusive on the
-/// connection thread.
-pub(crate) fn is_pipelineable(frame: &Frame) -> bool {
-    match frame {
-        Frame::CallRequest { mode, .. } => {
-            crate::semantics::wire_mode_bits(*mode) != crate::semantics::MODE_REMOTE_REF
-        }
-        _ => false,
-    }
-}
-
-/// The transport handed to pipeline workers: their calls are gated to
-/// never need mid-call traffic, so any use is a bug surfaced as an
-/// in-band call error rather than a hang or a cross-thread frame steal.
-pub(crate) struct NoCallbackTransport;
-
-impl Transport for NoCallbackTransport {
-    fn send(&mut self, _frame: &Frame) -> Result<(), TransportError> {
-        Err(TransportError::Io(std::io::Error::other(
-            "remote-reference callbacks cannot cross a pipelined worker",
-        )))
-    }
-
-    fn recv(&mut self) -> Result<Frame, TransportError> {
-        Err(TransportError::Io(std::io::Error::other(
-            "remote-reference callbacks cannot cross a pipelined worker",
-        )))
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> Result<Frame, TransportError> {
-        self.recv()
-    }
-}
-
-/// Exclusive-call I/O bridge for the pipelined loop: sends go through
-/// the writer thread (keeping the sender half single-owner), receives
-/// pull from the connection's receiver half, and any frame that is not
-/// a callback reply is stashed for the main loop to process once the
-/// exclusive call finishes — pipelined requests keep arriving mid-call
-/// without getting lost or misread as callback answers.
+/// Callback I/O bridge for calls the pipelined reader executes itself:
+/// sends go through the writer thread (keeping the sender half
+/// single-owner), receives pull from the connection's receiver half, and
+/// any frame that is not a callback reply is stashed for the reader to
+/// process once the call finishes — pipelined requests keep arriving
+/// mid-call without getting lost or misread as callback answers.
 struct ConnIo<'a> {
-    writer_tx: mpsc::SyncSender<Frame>,
+    writer_tx: &'a mpsc::SyncSender<Frame>,
     receiver: &'a mut dyn TransportReceiver,
     stash: &'a mut VecDeque<Frame>,
 }
 
 /// Frames a client's callback server sends back to a mid-call proxy
 /// (see [`crate::proxy::handle_callback`]). Everything else arriving
-/// during an exclusive call is read-ahead traffic for the main loop.
+/// during a call is read-ahead traffic for the reader.
 fn is_callback_reply(frame: &Frame) -> bool {
     matches!(
         frame,
@@ -521,15 +544,16 @@ impl Transport for ConnIo<'_> {
     }
 }
 
-/// The pipelined serve loop (see [`serve_connection_pooled`]): reader on
-/// this thread, replies through a dedicated writer thread, tagged cold
-/// calls offloaded to [`PIPELINE_WORKERS`] when the schema allows.
-fn serve_connection_pipelined(
+/// The pipelined driver (see [`serve_connection_pooled`]): reader on
+/// this thread, replies through a dedicated writer thread, offloaded
+/// calls on [`PIPELINE_WORKERS`] workers when the connection offloads.
+fn serve_pipelined(
     shared: &SharedServer,
-    conn: &mut ServerNode,
-    warm: &mut crate::warm::WarmCaches,
+    node: &mut ServerNode,
+    conn: &mut Connection,
     mut sender: Box<dyn TransportSender>,
     mut receiver: Box<dyn TransportReceiver>,
+    stash: Vec<Frame>,
 ) -> Result<(), NrmiError> {
     // Both queues are bounded: a send on a full queue blocks the
     // producer, propagating a stalled client back to the reader instead
@@ -537,11 +561,7 @@ fn serve_connection_pipelined(
     let (writer_tx, writer_rx) = mpsc::sync_channel::<Frame>(PIPELINE_REPLY_QUEUE);
     let writer_err: TrackedMutex<Option<TransportError>> =
         TrackedMutex::new(LockClass::SendQueue, None);
-    let workers = if shared.offloadable() {
-        PIPELINE_WORKERS
-    } else {
-        0
-    };
+    let workers = if conn.offloads() { PIPELINE_WORKERS } else { 0 };
     let (job_tx, job_rx) = mpsc::sync_channel::<PipelineJob>(PIPELINE_JOB_QUEUE);
     let job_rx = TrackedMutex::new(LockClass::ReactorQueue, job_rx);
     let result = std::thread::scope(|scope| {
@@ -582,34 +602,24 @@ fn serve_connection_pipelined(
                 // Per-worker private node state, the same isolation a
                 // connection gets — workers of one connection contend
                 // only on service mutexes and reply-cache shards.
-                let mut conn = shared.connection_node();
-                let mut warm = crate::warm::WarmCaches::with_leases(conn.leases.clone());
-                let mut io = NoCallbackTransport;
+                let mut node = shared.connection_node();
                 loop {
                     let job = job_rx.lock().recv();
-                    let Ok((nonce, seq, frame)) = job else {
+                    let Ok((nonce, seq, call)) = job else {
                         break;
                     };
-                    let reply =
-                        crate::protocol::dispatch_tagged(&mut conn, &mut warm, &mut io, frame);
-                    shared.replies.store(nonce, seq, &reply);
-                    let _ = worker_writer.send(Frame::Tagged {
-                        nonce,
-                        seq,
-                        frame: Box::new(reply),
-                    });
+                    let _ = worker_writer.send(run_offloaded(shared, &mut node, nonce, seq, call));
                 }
-                warm.release_all(&mut conn.state.heap);
             });
         }
         let result = pipelined_recv_loop(
             shared,
+            node,
             conn,
-            warm,
             receiver.as_mut(),
             &writer_tx,
             &job_tx,
-            workers > 0,
+            VecDeque::from(stash),
         );
         // Reader done: closing the job queue drains the workers (they
         // finish queued calls and push the replies), and closing our
@@ -631,31 +641,23 @@ fn serve_connection_pipelined(
     }
 }
 
-/// Reader side of the pipelined loop: classify each frame, answer
-/// duplicates from the reply cache, queue pipelineable fresh calls to
-/// the workers, and execute everything else exclusively in arrival
-/// order on this thread.
+/// Reader side of the pipelined driver: each frame goes through the
+/// engine, with the step's frames leaving through the writer and
+/// offloaded calls through the job queue. Calls the engine executes
+/// here run exclusively, in arrival order.
 fn pipelined_recv_loop(
     shared: &SharedServer,
-    conn: &mut ServerNode,
-    warm: &mut crate::warm::WarmCaches,
+    node: &mut ServerNode,
+    conn: &mut Connection,
     receiver: &mut dyn TransportReceiver,
     writer_tx: &mpsc::SyncSender<Frame>,
     job_tx: &mpsc::SyncSender<PipelineJob>,
-    offload: bool,
+    // Frames read while a call was waiting on its callback replies (and
+    // any handed over at escalation); processed before reading the
+    // socket again.
+    mut stash: VecDeque<Frame>,
 ) -> Result<(), NrmiError> {
-    // Frames that arrived while an exclusive call was waiting on its
-    // callback replies; processed before reading the socket again.
-    let mut stash: VecDeque<Frame> = VecDeque::new();
-    // A send into the writer channel only fails after the writer hit a
-    // connection error; `writer_err` carries the cause, so stop cleanly.
-    macro_rules! write_out {
-        ($frame:expr) => {
-            if writer_tx.send($frame).is_err() {
-                return Ok(());
-            }
-        };
-    }
+    let mut out = Vec::new();
     loop {
         let frame = match stash.pop_front() {
             Some(frame) => frame,
@@ -665,267 +667,33 @@ fn pipelined_recv_loop(
                 Err(e) => return Err(e.into()),
             },
         };
-        match frame {
-            Frame::Shutdown => return Ok(()),
-            Frame::Tagged { nonce, seq, frame } => {
-                // Decide-mark-executing on the nonce's shard, execute
-                // with no shard lock held, store. A duplicate arriving
-                // mid-execution — on this connection or another — reads
-                // InProgress and is dropped unanswered; the client's
-                // next retransmission replays the stored reply.
-                match shared.replies.begin(nonce, seq) {
-                    ReplyDecision::Replay(cached) => write_out!(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(cached),
-                    }),
-                    ReplyDecision::Evicted => write_out!(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(evicted_reply()),
-                    }),
-                    ReplyDecision::InProgress => {}
-                    ReplyDecision::Fresh if offload && is_pipelineable(&frame) => {
-                        // Cannot fail while this loop holds `job_tx`.
-                        let _ = job_tx.send((nonce, seq, *frame));
-                    }
-                    ReplyDecision::Fresh => {
-                        let reply = {
-                            let mut io = ConnIo {
-                                writer_tx: writer_tx.clone(),
-                                receiver,
-                                stash: &mut stash,
-                            };
-                            crate::protocol::dispatch_tagged(conn, warm, &mut io, *frame)
-                        };
-                        shared.replies.store(nonce, seq, &reply);
-                        write_out!(Frame::Tagged {
-                            nonce,
-                            seq,
-                            frame: Box::new(reply),
-                        });
-                    }
-                }
-            }
-            // Untagged traffic is executed exclusively, in arrival
-            // order, exactly as the serial loop would — only the reply
-            // leaves through the writer. Warm-protocol frames share one
-            // dispatcher with the other serve loops; it returns pushed
-            // `CacheStale` invalidations (for sibling sessions the call
-            // staled) ahead of the call's own reply, already ordered.
-            frame @ (Frame::CallRequestWarm { .. } | Frame::CacheEvict { .. }) => {
-                let out = {
-                    let mut io = ConnIo {
-                        writer_tx: writer_tx.clone(),
-                        receiver,
-                        stash: &mut stash,
-                    };
-                    crate::warm::dispatch_warm_frame(conn, warm, &mut io, frame, true)
-                };
-                for reply in out {
-                    write_out!(reply);
-                }
-            }
-            Frame::Lookup { name } => {
-                write_out!(Frame::LookupReply {
-                    found: shared.is_bound(&name),
-                });
-            }
-            Frame::CallRequest {
-                service,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = {
-                    let mut io = ConnIo {
-                        writer_tx: writer_tx.clone(),
-                        receiver,
-                        stash: &mut stash,
-                    };
-                    crate::protocol::server_handle_named_call(
-                        conn, &mut io, &service, &method, mode, &payload,
-                    )
-                };
-                write_out!(reply);
-            }
-            Frame::CallObject {
-                key,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = {
-                    let mut io = ConnIo {
-                        writer_tx: writer_tx.clone(),
-                        receiver,
-                        stash: &mut stash,
-                    };
-                    crate::protocol::server_handle_object_call(
-                        conn, &mut io, key, &method, mode, &payload,
-                    )
-                };
-                write_out!(reply);
-            }
-            Frame::DgcClean { key } => {
-                conn.state.exports.clean(key);
-            }
-            other => {
-                return Err(NrmiError::Protocol(format!("unexpected frame {other:?}")));
-            }
-        }
-    }
-}
-
-/// Serves a connection the reactor escalated off its readiness loop:
-/// the stashed frames it read ahead of the escalation trigger are
-/// processed first (in arrival order, exclusively), then the transport
-/// — restored to blocking mode by the reactor — continues under the
-/// normal pooled discipline (pipelined when it splits). The connection
-/// node and warm caches are created here, lazily: reactor-owned
-/// connections carry no node state until they need exclusive traffic.
-pub(crate) fn serve_connection_escalated(
-    shared: &SharedServer,
-    transport: &mut dyn Transport,
-    stash: Vec<Frame>,
-) -> Result<(), NrmiError> {
-    let mut conn = shared.connection_node();
-    let mut warm = crate::warm::WarmCaches::with_leases(conn.leases.clone());
-    let mut result = Ok(());
-    let mut stopped = false;
-    for frame in stash {
-        match handle_exclusive_frame(shared, &mut conn, &mut warm, transport, frame) {
-            Ok(true) => {}
-            Ok(false) => {
-                stopped = true;
-                break;
-            }
-            Err(e) => {
-                result = Err(e);
-                stopped = true;
-                break;
-            }
-        }
-    }
-    if !stopped {
-        result = match transport.split() {
-            Some((sender, receiver)) => {
-                serve_connection_pipelined(shared, &mut conn, &mut warm, sender, receiver)
-            }
-            None => serve_connection_pooled_inner(shared, &mut conn, &mut warm, transport),
+        let mut io = ConnIo {
+            writer_tx,
+            receiver: &mut *receiver,
+            stash: &mut stash,
         };
-    }
-    warm.release_all(&mut conn.state.heap);
-    result
-}
-
-/// Handles one frame exclusively on the connection thread — the shared
-/// body of the serial pooled loop and the escalated stash replay.
-/// Returns `Ok(false)` when the frame ends the connection (`Shutdown`),
-/// `Ok(true)` to continue.
-fn handle_exclusive_frame(
-    shared: &SharedServer,
-    conn: &mut ServerNode,
-    warm: &mut crate::warm::WarmCaches,
-    transport: &mut dyn Transport,
-    frame: Frame,
-) -> Result<bool, NrmiError> {
-    {
-        match frame {
-            Frame::Shutdown => return Ok(false),
-            Frame::Tagged { nonce, seq, frame } => {
-                // Decide-mark-executing on the nonce's shard, execute
-                // with no shard lock held, store. A duplicate arriving
-                // on another connection mid-execution reads InProgress
-                // and is dropped unanswered — the client's next
-                // retransmission replays the stored reply.
-                let reply = match shared.replies.begin(nonce, seq) {
-                    ReplyDecision::Replay(cached) => Some(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(cached),
-                    }),
-                    ReplyDecision::Evicted => Some(Frame::ReplyCached {
-                        nonce,
-                        seq,
-                        frame: Box::new(evicted_reply()),
-                    }),
-                    ReplyDecision::InProgress => None,
-                    ReplyDecision::Fresh => {
-                        let reply = crate::protocol::dispatch_tagged(conn, warm, transport, *frame);
-                        shared.replies.store(nonce, seq, &reply);
-                        Some(Frame::Tagged {
-                            nonce,
-                            seq,
-                            frame: Box::new(reply),
-                        })
-                    }
-                };
-                if let Some(reply) = reply {
-                    transport.send(&reply)?;
-                }
-            }
-            // Everything untagged touches only per-connection state (and
-            // the callee's service mutex) — identical to the exclusive
-            // single-connection loop. The warm dispatcher returns pushed
-            // `CacheStale` invalidations ahead of the call's own reply.
-            frame @ (Frame::CallRequestWarm { .. } | Frame::CacheEvict { .. }) => {
-                let out = crate::warm::dispatch_warm_frame(conn, warm, transport, frame, true);
-                for reply in out {
-                    transport.send(&reply)?;
-                }
-            }
-            Frame::Lookup { name } => {
-                let found = shared.is_bound(&name);
-                transport.send(&Frame::LookupReply { found })?;
-            }
-            Frame::CallRequest {
-                service,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = crate::protocol::server_handle_named_call(
-                    conn, transport, &service, &method, mode, &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::CallObject {
-                key,
-                method,
-                mode,
-                payload,
-            } => {
-                let reply = crate::protocol::server_handle_object_call(
-                    conn, transport, key, &method, mode, &payload,
-                );
-                transport.send(&reply)?;
-            }
-            Frame::DgcClean { key } => {
-                conn.state.exports.clean(key);
-            }
-            other => {
-                return Err(NrmiError::Protocol(format!("unexpected frame {other:?}")));
+        let step = conn.on_frame(
+            Host::Pool(shared, Some(&mut *node)),
+            &mut io,
+            frame,
+            &mut out,
+        )?;
+        for frame in out.drain(..) {
+            // A send into the writer channel only fails after the writer
+            // hit a connection error; `writer_err` carries the cause, so
+            // stop cleanly.
+            if writer_tx.send(frame).is_err() {
+                return Ok(());
             }
         }
-    }
-    Ok(true)
-}
-
-fn serve_connection_pooled_inner(
-    shared: &SharedServer,
-    conn: &mut ServerNode,
-    warm: &mut crate::warm::WarmCaches,
-    transport: &mut dyn Transport,
-) -> Result<(), NrmiError> {
-    loop {
-        let frame = match transport.recv() {
-            Ok(frame) => frame,
-            Err(TransportError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e.into()),
-        };
-        if !handle_exclusive_frame(shared, conn, warm, transport, frame)? {
-            return Ok(());
+        match step {
+            Step::Continue => {}
+            Step::Close => return Ok(()),
+            // Cannot fail while this loop holds `job_tx`.
+            Step::Offload { nonce, seq, call } => {
+                let _ = job_tx.send((nonce, seq, call));
+            }
+            Step::Escalate(_) => unreachable!("the pipelined reader owns a node"),
         }
     }
 }
@@ -1068,9 +836,9 @@ mod tests {
                 seq: 0,
             });
             std::thread::spawn(move || {
-                let mut conn = shared.connection_node();
-                let mut warm = crate::warm::WarmCaches::new();
-                serve_connection_pipelined(&shared, &mut conn, &mut warm, sender, receiver)
+                let mut node = shared.connection_node();
+                let mut conn = Connection::with_workers(&shared, WarmCaches::new());
+                serve_pipelined(&shared, &mut node, &mut conn, sender, receiver, Vec::new())
             })
         };
 

@@ -590,8 +590,6 @@ pub fn serve_tcp_concurrent(
 pub struct ServerPool {
     max_live: usize,
     max_total: Option<usize>,
-    accept_poll: Duration,
-    reactor_workers: usize,
 }
 
 impl Default for ServerPool {
@@ -600,17 +598,19 @@ impl Default for ServerPool {
     }
 }
 
-const REACTOR_WORKER_DEFAULT: usize = crate::reactor::REACTOR_WORKERS;
+/// How long each accept wait lasts before the accept loop rechecks the
+/// shutdown flag — the latency bound on [`ServeHandle::shutdown`]
+/// unblocking `accept`. (The reactor needs no poll: its shutdown wakes
+/// the poller directly.)
+const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 impl ServerPool {
     /// Default configuration: up to 64 live connections, no total
-    /// limit, shutdown flag polled every 25 ms.
+    /// limit.
     pub fn new() -> Self {
         ServerPool {
             max_live: 64,
             max_total: None,
-            accept_poll: Duration::from_millis(25),
-            reactor_workers: REACTOR_WORKER_DEFAULT,
         }
     }
 
@@ -626,24 +626,6 @@ impl ServerPool {
     /// last of them disconnects.
     pub fn max_total_connections(mut self, n: usize) -> Self {
         self.max_total = Some(n);
-        self
-    }
-
-    /// How long each accept wait lasts before the loop rechecks the
-    /// shutdown flag — the latency bound on [`ServeHandle::shutdown`]
-    /// unblocking `accept`. (The reactor mode needs no poll: its
-    /// shutdown wakes the poller directly.)
-    pub fn accept_poll(mut self, poll: Duration) -> Self {
-        self.accept_poll = poll.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Worker threads executing cold calls for the whole reactor in
-    /// [`ServerPool::serve_reactor`] mode (default 4) — fixed regardless
-    /// of connection count. Ignored by thread-per-connection
-    /// [`ServerPool::serve`].
-    pub fn reactor_workers(mut self, n: usize) -> Self {
-        self.reactor_workers = n.max(1);
         self
     }
 
@@ -680,10 +662,10 @@ impl ServerPool {
                         return Ok(());
                     }
                     if live.load(Ordering::SeqCst) >= self.max_live {
-                        std::thread::sleep(self.accept_poll);
+                        std::thread::sleep(ACCEPT_POLL);
                         continue;
                     }
-                    match listener.accept_timeout(self.accept_poll) {
+                    match listener.accept_timeout(ACCEPT_POLL) {
                         Ok(mut transport) => {
                             accepted += 1;
                             served.fetch_add(1, Ordering::SeqCst);
@@ -733,8 +715,8 @@ impl ServerPool {
     /// connection: one event-loop thread owns every socket in
     /// non-blocking mode (a handwritten `poll(2)` loop — see
     /// [`reactor`](crate::reactor)), answering cached/lookup traffic
-    /// inline and handing fresh pipelineable cold calls to
-    /// [`ServerPool::reactor_workers`] shared worker threads. Exclusive
+    /// inline and handing fresh pipelineable cold calls to a fixed pool
+    /// of four shared worker threads. Exclusive
     /// traffic (warm, object, and remote-reference calls) escalates that
     /// connection to a dedicated blocking thread with PR 5/6 semantics
     /// intact, so the modes are behaviorally interchangeable — this one
@@ -765,7 +747,6 @@ impl ServerPool {
         let poller = nrmi_transport::Poller::new()?;
         let waker = poller.waker();
         let config = crate::reactor::ReactorConfig {
-            workers: self.reactor_workers,
             max_live: self.max_live,
             max_total: self.max_total,
         };

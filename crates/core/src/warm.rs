@@ -425,7 +425,9 @@ fn warm_call(
                 // discarding the session: apply the patch and re-issue at
                 // the SAME generation (no call executed server-side).
                 stats.reply_bytes += payload.len();
-                client.state.charge_cpu(payload.len() as f64 * cost.per_byte_us);
+                client
+                    .state
+                    .charge_cpu(payload.len() as f64 * cost.per_byte_us);
                 if client_apply_stale(client, cache_id, version, &payload) {
                     stats.stale_patches += 1;
                 }
@@ -647,7 +649,7 @@ pub struct LeaseTable {
 
 /// Builds a fresh shared lease-table handle — one per server heap
 /// (normally owned by [`ServerNode::leases`]).
-pub fn new_lease_table() -> Arc<TrackedMutex<LeaseTable>> {
+pub(crate) fn new_lease_table() -> Arc<TrackedMutex<LeaseTable>> {
     Arc::new(TrackedMutex::new(
         crate::lockcheck::LockClass::LeaseTable,
         LeaseTable::new(),
@@ -747,12 +749,6 @@ impl WarmCaches {
             entries: HashMap::new(),
             leases: Some(leases),
         }
-    }
-
-    /// True if this cache set coordinates evictions through a lease
-    /// table.
-    pub fn leased(&self) -> bool {
-        self.leases.is_some()
     }
 
     /// Number of live entries.
@@ -859,12 +855,15 @@ impl WarmCaches {
     }
 }
 
-/// Probes each sync position's current mutation version; positions whose
-/// object is gone probe as `u64::MAX` (always incoherent).
-fn versions_of(heap: &Heap, sync: &[ObjId]) -> Vec<u64> {
-    sync.iter()
-        .map(|&id| heap.version_if_live(id).unwrap_or(u64::MAX))
-        .collect()
+/// Refills `versions` with each sync position's current mutation
+/// version, reusing its allocation; positions whose object is gone probe
+/// as `u64::MAX` (always incoherent).
+fn record_versions(heap: &Heap, sync: &[ObjId], versions: &mut Vec<u64>) {
+    versions.clear();
+    versions.extend(
+        sync.iter()
+            .map(|&id| heap.version_if_live(id).unwrap_or(u64::MAX)),
+    );
 }
 
 /// True if every synchronized object still exists untouched since the
@@ -946,7 +945,7 @@ fn revalidate_entry(
             + enc.bytes.len() as f64 * cost.per_byte_us,
     );
     entry.sync.extend_from_slice(&enc.new_objects);
-    entry.versions = versions_of(&state.heap, &entry.sync);
+    record_versions(&state.heap, &entry.sync, &mut entry.versions);
     entry.version += 1;
     let version = entry.version;
     caches.put_entry(cache_id, entry);
@@ -958,7 +957,7 @@ fn revalidate_entry(
 }
 
 /// Scans this connection's sessions for entries gone stale behind their
-/// backs and repairs the repairable ones, returning the `CacheStale`
+/// backs and repairs the repairable ones, appending the `CacheStale`
 /// frames to push to the (idle) client. Only **pure** patches — no new
 /// objects — travel unsolicited: a splicing patch changes the sync-list
 /// length, and a request delta already crossing it on the wire would
@@ -966,75 +965,70 @@ fn revalidate_entry(
 /// reply path instead. Entries whose graphs were freed or recycled
 /// out-of-band are dropped (unfreed) — the client discovers the loss as
 /// an ordinary `CacheMiss` on its next call.
-pub fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCaches) -> Vec<Frame> {
-    let mut out = Vec::new();
-    let ids: Vec<u64> = caches.entries.keys().copied().collect();
-    for cache_id in ids {
-        let Some(entry) = caches.entries.get(&cache_id) else {
-            continue;
-        };
-        match classify(&server.state.heap, entry) {
-            Staleness::Clean => {}
-            Staleness::Dirty(dirty) => {
-                let state = &mut server.state;
-                let Ok(enc) = encode_invalidation(&state.heap, &entry.sync, &dirty) else {
-                    // Unencodable (e.g. a dangling edge): leave the entry
-                    // stale; the next warm call degrades to CacheMiss
-                    // through the same classification.
-                    continue;
-                };
-                if !enc.new_objects.is_empty() {
-                    continue;
-                }
-                let cost = state.profile.cost();
-                state.charge_cpu(
-                    enc.stats.dirty_count as f64 * cost.ser_per_obj_us
-                        + enc.bytes.len() as f64 * cost.per_byte_us,
-                );
-                let mut entry = caches.take_entry(cache_id).expect("present above");
-                entry.versions = versions_of(&state.heap, &entry.sync);
-                entry.version += 1;
-                let version = entry.version;
-                caches.put_entry(cache_id, entry);
-                out.push(Frame::CacheStale {
-                    cache_id,
-                    version,
-                    payload: enc.bytes,
-                });
+fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCaches, out: &mut Vec<Frame>) {
+    let state = &mut server.state;
+    let WarmCaches { entries, leases } = caches;
+    entries.retain(|&cache_id, entry| match classify(&state.heap, entry) {
+        Staleness::Clean => true,
+        Staleness::Dirty(dirty) => {
+            // Unencodable (e.g. a dangling edge) or splicing: leave the
+            // entry stale; the next warm call repairs or drops it
+            // through the same classification.
+            let Ok(enc) = encode_invalidation(&state.heap, &entry.sync, &dirty) else {
+                return true;
+            };
+            if !enc.new_objects.is_empty() {
+                return true;
             }
-            Staleness::Lost => {
-                caches.take_entry(cache_id);
-            }
+            let cost = state.profile.cost();
+            state.charge_cpu(
+                enc.stats.dirty_count as f64 * cost.ser_per_obj_us
+                    + enc.bytes.len() as f64 * cost.per_byte_us,
+            );
+            // A pure patch leaves the sync list (and so its leases) as
+            // it was; only the version vector moves.
+            record_versions(&state.heap, &entry.sync, &mut entry.versions);
+            entry.version += 1;
+            out.push(Frame::CacheStale {
+                cache_id,
+                version: entry.version,
+                payload: enc.bytes,
+            });
+            true
         }
-    }
-    out
+        Staleness::Lost => {
+            if let Some(leases) = leases {
+                leases.lock().unregister(&entry.sync);
+            }
+            false
+        }
+    });
 }
 
 /// Dispatches one warm-protocol frame — a warm/seed call or an eviction
-/// notice — against an exclusively borrowed node: the shared body of
-/// every serve loop's warm arms. Returns the frames to send **in
-/// order**: pushed `CacheStale` invalidations for other sessions of this
-/// connection that went stale behind their backs (when `push` is set),
-/// then the call's own reply. Pushes travel *before* the reply on
-/// purpose: a synchronous client consumes everything up to its reply
-/// before it can issue another request, so a pushed patch can never
-/// cross a request delta computed against pre-patch state.
+/// notice — against an exclusively borrowed node: the warm arm of the
+/// connection engine ([`crate::engine`]). Appends the frames to send to
+/// `out`, **in order**: pushed `CacheStale` invalidations for other
+/// sessions of this connection that went stale behind their backs, then
+/// the call's own reply. Pushes travel *before* the reply on purpose: a
+/// synchronous client consumes everything up to its reply before it can
+/// issue another request, so a pushed patch can never cross a request
+/// delta computed against pre-patch state.
 ///
 /// An eviction notice produces no reply of its own — and no pushes
-/// either, even with `push` set: the client is not necessarily
-/// receiving after a fire-and-forget evict, and an unsolicited frame
-/// would derail its next non-call exchange (e.g. a lookup). Nothing is
-/// lost: an eviction only frees objects *no* session covers, so it
-/// cannot stale any session, and staleness predating the evict is
-/// pushed with the next warm call's reply.
+/// either: the client is not necessarily receiving after a
+/// fire-and-forget evict, and an unsolicited frame would derail its next
+/// non-call exchange (e.g. a lookup). Nothing is lost: an eviction only
+/// frees objects *no* session covers, so it cannot stale any session,
+/// and staleness predating the evict is pushed with the next warm
+/// call's reply.
 pub fn dispatch_warm_frame(
     server: &mut ServerNode,
     caches: &mut WarmCaches,
     transport: &mut dyn Transport,
     frame: Frame,
-    push: bool,
-) -> Vec<Frame> {
-    let push = push && matches!(frame, Frame::CallRequestWarm { .. });
+    out: &mut Vec<Frame>,
+) {
     let reply = match frame {
         Frame::CallRequestWarm {
             service,
@@ -1043,42 +1037,28 @@ pub fn dispatch_warm_frame(
             cache_id,
             generation,
             payload,
-        } => Some(server_handle_warm_call(
+        } => server_handle_warm_call(
             server, caches, transport, &service, &method, mode, cache_id, generation, &payload,
-        )),
+        ),
         Frame::CacheEvict { cache_id } => {
             caches.evict(&mut server.state.heap, cache_id);
-            None
+            return;
         }
-        other => Some(Frame::CallError {
-            message: format!("not a warm-protocol frame: {other:?}"),
-        }),
+        other => {
+            out.push(Frame::CallError {
+                message: format!("not a warm-protocol frame: {other:?}"),
+            });
+            return;
+        }
     };
-    let mut out = if push {
-        collect_stale_pushes(server, caches)
-    } else {
-        Vec::new()
-    };
-    out.extend(reply);
-    out
-}
-
-/// Shared-node variant of [`dispatch_warm_frame`]: locks the node for
-/// the whole dispatch, like every big-lock arm does.
-pub fn dispatch_warm_frame_shared(
-    server: &TrackedMutex<ServerNode>,
-    caches: &mut WarmCaches,
-    transport: &mut dyn Transport,
-    frame: Frame,
-    push: bool,
-) -> Vec<Frame> {
-    dispatch_warm_frame(&mut server.lock(), caches, transport, frame, push)
+    collect_stale_pushes(server, caches, out);
+    out.push(reply);
 }
 
 /// Handles one `CallRequestWarm` frame on the server. Returns the frame
 /// to send back: `CallReply`, `CacheStale`, `CacheMiss`, or `CallError`.
 #[allow(clippy::too_many_arguments)]
-pub fn server_handle_warm_call(
+pub(crate) fn server_handle_warm_call(
     server: &mut ServerNode,
     caches: &mut WarmCaches,
     transport: &mut dyn Transport,
@@ -1198,7 +1178,8 @@ fn server_seed_call(
             );
             let mut sync = server_map.order().to_vec();
             sync.extend_from_slice(&delta.new_objects);
-            let versions = versions_of(&state.heap, &sync);
+            let mut versions = Vec::new();
+            record_versions(&state.heap, &sync, &mut versions);
             caches.put_entry(
                 cache_id,
                 ServerWarmEntry {
@@ -1274,7 +1255,8 @@ fn server_warm_call(
             );
             let mut sync = sync2;
             sync.extend_from_slice(&delta.new_objects);
-            let versions = versions_of(&state.heap, &sync);
+            let mut versions = entry.versions;
+            record_versions(&state.heap, &sync, &mut versions);
             caches.put_entry(
                 cache_id,
                 ServerWarmEntry {
@@ -1330,35 +1312,6 @@ fn full_reply_fallback(
     Ok(Frame::CallReply { payload: enc.bytes })
 }
 
-/// Shared-server warm dispatch: locks the node per request, like
-/// [`serve_connection_shared`](crate::protocol::serve_connection_shared)
-/// does for cold calls. The caches stay per-connection even though the
-/// node is shared.
-#[allow(clippy::too_many_arguments)]
-pub fn server_handle_warm_call_shared(
-    server: &crate::lockcheck::TrackedMutex<ServerNode>,
-    caches: &mut WarmCaches,
-    transport: &mut dyn Transport,
-    service: &str,
-    method: &str,
-    mode_byte: u8,
-    cache_id: u64,
-    generation: u64,
-    payload: &[u8],
-) -> Frame {
-    server_handle_warm_call(
-        &mut server.lock(),
-        caches,
-        transport,
-        service,
-        method,
-        mode_byte,
-        cache_id,
-        generation,
-        payload,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::VecDeque;
@@ -1380,10 +1333,7 @@ mod tests {
         fn recv(&mut self) -> nrmi_transport::Result<Frame> {
             Err(TransportError::Disconnected)
         }
-        fn recv_timeout(
-            &mut self,
-            _timeout: std::time::Duration,
-        ) -> nrmi_transport::Result<Frame> {
+        fn recv_timeout(&mut self, _timeout: std::time::Duration) -> nrmi_transport::Result<Frame> {
             Err(TransportError::Disconnected)
         }
     }
@@ -1400,12 +1350,13 @@ mod tests {
 
     impl Transport for Link {
         fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-            let out = dispatch_warm_frame(
+            let mut out = Vec::new();
+            dispatch_warm_frame(
                 &mut self.server,
                 &mut self.caches,
                 &mut Sink,
                 frame.clone(),
-                true,
+                &mut out,
             );
             self.replies.extend(out);
             Ok(())
@@ -1413,10 +1364,7 @@ mod tests {
         fn recv(&mut self) -> nrmi_transport::Result<Frame> {
             self.replies.pop_front().ok_or(TransportError::Disconnected)
         }
-        fn recv_timeout(
-            &mut self,
-            _timeout: std::time::Duration,
-        ) -> nrmi_transport::Result<Frame> {
+        fn recv_timeout(&mut self, _timeout: std::time::Duration) -> nrmi_transport::Result<Frame> {
             self.recv()
         }
     }
@@ -1509,12 +1457,16 @@ mod tests {
         let leases = new_lease_table();
         let mut conn_a = WarmCaches::with_leases(Arc::clone(&leases));
         let mut conn_b = WarmCaches::with_leases(Arc::clone(&leases));
-        let entry = |heap: &Heap, sync: Vec<ObjId>| ServerWarmEntry {
-            generation: 1,
-            versions: versions_of(heap, &sync),
-            sync,
-            version: 0,
-            snapshot: GraphSnapshot::default(),
+        let entry = |heap: &Heap, sync: Vec<ObjId>| {
+            let mut versions = Vec::new();
+            record_versions(heap, &sync, &mut versions);
+            ServerWarmEntry {
+                generation: 1,
+                versions,
+                sync,
+                version: 0,
+                snapshot: GraphSnapshot::default(),
+            }
         };
         conn_a.put_entry(1, entry(&heap, vec![x, y, shared]));
         conn_b.put_entry(2, entry(&heap, vec![z, shared]));
@@ -1551,7 +1503,11 @@ mod tests {
         let (_, s2) = call(&mut client, &mut link, "poke", poke_root);
         assert_eq!(s2.stale_patches, 1, "one pushed patch consumed inline");
         assert_eq!(
-            client.state.heap.get_field(leak_root, "data").expect("live"),
+            client
+                .state
+                .heap
+                .get_field(leak_root, "data")
+                .expect("live"),
             Value::Int(105),
             "the patch repaired exactly the dirty position client-side"
         );
@@ -1584,7 +1540,11 @@ mod tests {
         assert!(!client_apply_stale(&mut client, cache_id, 1, b"garbage"));
         assert_eq!(client.warm.cache_id("leak"), Some(cache_id));
         assert_eq!(
-            client.state.heap.get_field(leak_root, "data").expect("live"),
+            client
+                .state
+                .heap
+                .get_field(leak_root, "data")
+                .expect("live"),
             Value::Int(105)
         );
     }
@@ -1599,10 +1559,10 @@ mod tests {
         call(&mut client, &mut link, "leak", leak_root);
 
         // Out-of-band server-side write to the session's root...
-        let server_root = link.caches.sync_ids_of(
-            client.warm.cache_id("leak").expect("warm"),
-        )
-        .expect("live")[0];
+        let server_root = link
+            .caches
+            .sync_ids_of(client.warm.cache_id("leak").expect("warm"))
+            .expect("live")[0];
         link.server
             .state
             .heap
@@ -1617,9 +1577,16 @@ mod tests {
 
         let (v, s) = call(&mut client, &mut link, "leak", leak_root);
         assert_eq!(v, Value::Int(7), "the client's write won");
-        assert_eq!(s.stale_patches, 0, "no repair patch for a position the delta rewrites");
         assert_eq!(
-            client.state.heap.get_field(leak_root, "data").expect("live"),
+            s.stale_patches, 0,
+            "no repair patch for a position the delta rewrites"
+        );
+        assert_eq!(
+            client
+                .state
+                .heap
+                .get_field(leak_root, "data")
+                .expect("live"),
             Value::Int(7)
         );
     }
@@ -1633,10 +1600,10 @@ mod tests {
         let (mut client, mut link, leak_root, _poke_root) = world();
         call(&mut client, &mut link, "leak", leak_root);
 
-        let server_root = link.caches.sync_ids_of(
-            client.warm.cache_id("leak").expect("warm"),
-        )
-        .expect("live")[0];
+        let server_root = link
+            .caches
+            .sync_ids_of(client.warm.cache_id("leak").expect("warm"))
+            .expect("live")[0];
         link.server
             .state
             .heap
@@ -1647,7 +1614,11 @@ mod tests {
         assert_eq!(v, Value::Int(400), "the call saw the repaired state");
         assert_eq!(s.stale_patches, 1, "one CacheStale reply absorbed");
         assert_eq!(
-            client.state.heap.get_field(leak_root, "data").expect("live"),
+            client
+                .state
+                .heap
+                .get_field(leak_root, "data")
+                .expect("live"),
             Value::Int(400)
         );
     }

@@ -1,8 +1,7 @@
 //! The transport abstraction and the in-process channel transport.
 
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
-
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use crate::message::Frame;
 use crate::simnet::{LinkSpec, SimEnv};
@@ -211,7 +210,7 @@ pub trait PollableListener: Listener {
     fn try_accept(&self) -> Result<Option<Self::Conn>>;
 }
 
-/// In-process transport over crossbeam channels.
+/// In-process transport over `std::sync::mpsc` channels.
 ///
 /// When built with [`channel_pair`]'s `env`/`link` parameters, every sent
 /// frame charges the simulated network with its encoded size — the same
@@ -235,8 +234,8 @@ impl std::fmt::Debug for ChannelTransport {
 /// Creates a connected pair of in-process transports. If `env` is given,
 /// both directions charge it for transfers over `link`.
 pub fn channel_pair(env: Option<SimEnv>, link: LinkSpec) -> (ChannelTransport, ChannelTransport) {
-    let (atx, brx) = crossbeam::channel::unbounded();
-    let (btx, arx) = crossbeam::channel::unbounded();
+    let (atx, brx) = mpsc::channel();
+    let (btx, arx) = mpsc::channel();
     (
         ChannelTransport {
             tx: atx,
@@ -283,7 +282,7 @@ impl Transport for ChannelTransport {
         // The receive side moves out; the original transport keeps a
         // receiver whose sender was dropped, so any further recv on it
         // reports Disconnected instead of silently stealing frames.
-        let (dead_tx, dead_rx) = crossbeam::channel::unbounded();
+        let (dead_tx, dead_rx) = mpsc::channel();
         drop(dead_tx);
         let rx = std::mem::replace(&mut self.rx, dead_rx);
         let sender = ChannelSenderHalf {

@@ -1,13 +1,11 @@
 //! Low-level byte IO: LEB128 varints, zigzag integers, strings.
 
-use bytes::{BufMut, BytesMut};
-
 use crate::{Result, WireError};
 
 /// Append-only byte sink used by the serializer.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl ByteWriter {
@@ -21,7 +19,7 @@ impl ByteWriter {
     /// here so steady-state encoding does not allocate.
     pub fn with_buffer(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        ByteWriter { buf: buf.into() }
+        ByteWriter { buf }
     }
 
     /// Bytes written so far.
@@ -37,17 +35,17 @@ impl ByteWriter {
     /// Consumes the writer, returning the payload. This is a move of the
     /// backing storage, not a copy.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.into()
+        self.buf
     }
 
     /// Writes one raw byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Writes raw bytes.
     pub fn put_slice(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Writes an unsigned LEB128 varint.
@@ -56,10 +54,10 @@ impl ByteWriter {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
             if v == 0 {
-                self.buf.put_u8(byte);
+                self.buf.push(byte);
                 return;
             }
-            self.buf.put_u8(byte | 0x80);
+            self.buf.push(byte | 0x80);
         }
     }
 
@@ -70,13 +68,13 @@ impl ByteWriter {
 
     /// Writes an `f64` as fixed 8 bytes, little-endian IEEE bits.
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_u64_le(v.to_bits());
+        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     /// Writes a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_varint(v.len() as u64);
-        self.buf.put_slice(v.as_bytes());
+        self.buf.extend_from_slice(v.as_bytes());
     }
 }
 
