@@ -46,8 +46,8 @@
 //! values ([`ContentionPoint::stale_reads`] stays 0), while the reseed
 //! baseline demonstrably clobbers peer writes
 //! ([`ContentionPoint::lost_writes`]). This axis runs in process over
-//! [`dispatch_warm_frame`] — it measures bytes and coherence, not
-//! syscalls — so the numbers are deterministic.
+//! the engine's [`Loopback`] driver — it measures bytes and coherence,
+//! not syscalls — so the numbers are deterministic.
 //!
 //! `tables -- scaling` renders the tables and emits `BENCH_scaling.json`;
 //! the gate fails when the pool stops beating the serialized baseline,
@@ -56,15 +56,14 @@
 //! invalidation stops beating the evict-and-reseed baseline (in bytes
 //! or in coherence).
 
-use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use nrmi_core::{
     allow_blocking, client_evict_warm, client_invoke, client_invoke_warm_with_stats,
-    dispatch_warm_frame, serve_connection_pooled, CallOptions, ClientNode, Connection, FnService,
-    Host, LockClass, NrmiError, PassMode, PipelinedCall, ServerNode, Session, SharedServer, Step,
+    serve_connection_pooled, CallOptions, ClientNode, Connection, FnService, Host, LockClass,
+    Loopback, NrmiError, PassMode, PipelinedCall, ServerNode, Session, SharedServer, Step,
     TrackedMutex, WarmCaches,
 };
 use nrmi_heap::{ClassId, ClassRegistry, HeapAccess, ObjId, SharedRegistry, Value};
@@ -984,55 +983,12 @@ fn connection_cell(flavor: CoreFlavor, connections: usize) -> ConnectionPoint {
     }
 }
 
-/// Stands in for the dispatch's (unused) callback channel.
-struct NullWire;
-
-impl Transport for NullWire {
-    fn send(&mut self, _frame: &Frame) -> nrmi_transport::Result<()> {
-        Ok(())
-    }
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        Err(TransportError::Disconnected)
-    }
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        Err(TransportError::Disconnected)
-    }
-}
-
-/// One reader's connection to the shared server: `send` runs the frame
-/// through [`dispatch_warm_frame`] against the one server node (pushes
-/// queued ahead of the reply exactly as the serve loops write them);
-/// `recv` drains the queue. Each reader has its own [`WarmCaches`], all
+/// One reader's connection to the shared server, stepped in process
+/// through the engine (pushes queued ahead of the reply exactly as the
+/// serve loops write them). Each reader has its own [`WarmCaches`], all
 /// built over the node's one lease table — the per-connection shape of
 /// the real servers.
-struct WarmLink {
-    server: Arc<Mutex<ServerNode>>,
-    caches: WarmCaches,
-    replies: VecDeque<Frame>,
-}
-
-impl Transport for WarmLink {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let mut server = self.server.lock().expect("server");
-        let mut out = Vec::new();
-        dispatch_warm_frame(
-            &mut server,
-            &mut self.caches,
-            &mut NullWire,
-            frame.clone(),
-            &mut out,
-        );
-        drop(server);
-        self.replies.extend(out);
-        Ok(())
-    }
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        self.replies.pop_front().ok_or(TransportError::Disconnected)
-    }
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-}
+type WarmLink = Loopback<Arc<Mutex<ServerNode>>>;
 
 /// One warm reader: its client node, its connection, its chain's client
 /// root, and the oracle mirror of what the chain must hold.
@@ -1114,11 +1070,10 @@ fn contention_run(readers: usize, targeted: bool) -> (usize, usize, usize, usize
             }
             WarmReader {
                 client,
-                link: WarmLink {
-                    server: Arc::clone(&server),
-                    caches: WarmCaches::with_leases(Arc::clone(&leases)),
-                    replies: VecDeque::new(),
-                },
+                link: Loopback::new(
+                    Arc::clone(&server),
+                    Connection::new(WarmCaches::with_leases(Arc::clone(&leases))),
+                ),
                 root: root.expect("nonempty chain"),
                 oracle: (0..CONTENTION_GRAPH_NODES).map(|i| i as i32).collect(),
             }
@@ -1156,7 +1111,8 @@ fn contention_run(readers: usize, targeted: bool) -> (usize, usize, usize, usize
                 .expect("warm session");
             let ids: Vec<ObjId> = rd
                 .link
-                .caches
+                .conn
+                .warm()
                 .sync_ids_of(cache_id)
                 .expect("leased")
                 .to_vec();
@@ -1214,7 +1170,8 @@ fn contention_run(readers: usize, targeted: bool) -> (usize, usize, usize, usize
                 let cache_id = rd.client.warm.cache_id(CONTENTION_SVC).expect("reseeded");
                 let ids: Vec<ObjId> = rd
                     .link
-                    .caches
+                    .conn
+                    .warm()
                     .sync_ids_of(cache_id)
                     .expect("leased")
                     .to_vec();

@@ -41,11 +41,10 @@ pub use diag::{Diagnostic, Report, Severity};
 pub use heapcheck::check_heap;
 pub use lockcheck::{assert_discipline_clean, check_lock_witness, check_locks};
 pub use protocol::{
-    check_pipelined_sequence, check_reactor_sequence, check_reliability_sequence, check_sequence,
-    check_shared_graph_sequence, check_shared_sequence, judge_reply, model_check, Action,
-    ModelCheckConfig, PipelinedAction, ReactorAction, ReliabilityAction, ReplyContext,
-    SharedAction, SharedGraphAction, ADVERSARIAL_ALPHABET, CORE_ALPHABET, PIPELINED_ALPHABET,
-    REACTOR_ALPHABET, RELIABILITY_ALPHABET, SHARED_ALPHABET, SHARED_GRAPH_ALPHABET,
+    check_sequence, judge_reply, model_check, Action, AdversarialModel, CoreModel, Model,
+    ModelCheckConfig, PipelinedAction, PipelinedModel, ReactorAction, ReactorModel,
+    ReliabilityAction, ReliabilityModel, ReplyContext, SharedAction, SharedGraphAction,
+    SharedGraphModel, SharedModel, WarmModel,
 };
 pub use schema::{analyze_registry, diff_registries, fingerprint, fingerprints};
 
@@ -87,14 +86,8 @@ mod tests {
         // Schema + drift only (protocol depth 0 keeps this test fast;
         // protocol coverage has its own tests).
         let report = self_check(&ModelCheckConfig {
-            core_depth: 0,
-            adversarial_depth: 0,
-            reliability_depth: 0,
-            shared_depth: 0,
-            shared_graph_depth: 0,
-            pipelined_depth: 0,
-            reactor_depth: 0,
-            max_errors: 25,
+            depth_cap: 0,
+            ..ModelCheckConfig::default()
         });
         assert!(!report.has_errors(), "{}", report.render());
     }

@@ -3,31 +3,32 @@
 //! The cold/warm/delta handshake is encoded as an explicit transition
 //! system over [`Frame`] message types, and [`model_check`] exhaustively
 //! enumerates every bounded sequence of protocol actions against the
-//! **real** implementation: [`client_invoke_warm_with_stats`] on one
-//! side, the server's connection engine ([`Connection::on_frame`], the
-//! step every serve loop drives) on the other, joined by an in-process
-//! dispatch transport instead of threads. Each sequence runs
-//! a fresh client/server pair from scratch, so every prefix of every
-//! enumerated sequence is exercised.
+//! **real** implementation: the real client API on one side, the
+//! server's connection engine ([`Connection::on_frame`], the step every
+//! serve loop drives) on the other, joined in process by the engine's
+//! synchronous driver ([`Loopback`]) instead of threads and sockets.
+//! Each sequence runs a fresh world from scratch, so every prefix of
+//! every enumerated sequence is exercised.
 //!
-//! ## Action alphabet
+//! ## One harness, seven alphabets
 //!
-//! The *core* alphabet drives the protocol through its honest
-//! transitions:
+//! Each world is a [`Model`]: its alphabet, its CI depth, and what each
+//! action does and checks. Everything else is shared:
+//! [`check_sequence`] runs one sequence against a fresh world (panic
+//! capture, trace, the step a finding appeared at); [`model_check`]
+//! walks one table of models; every world builds its client endpoints —
+//! a real client and its **local oracle twin** — and its server from one
+//! fixture, and judges each completed call the same way.
 //!
-//! | action | protocol edge exercised |
-//! |--------|-------------------------|
-//! | `Call` | seed (gen 0) on first use, request delta (gen ≥ 1) after |
-//! | `MutateClient` | dirty-position classification in the request delta |
-//! | `Graft` | new-object shipping in the request delta |
-//! | `Prune` | freed-position shipping and server-side frees |
-//! | `MutateServer` | out-of-band mutation → `CacheStale` repair patch, or client-wins merge when the request rewrites the same object |
-//! | `Evict` | `CacheEvict` → server frees the cached graph |
-//!
-//! The *adversarial* alphabet adds hand-built frames the client
-//! implementation would never send: a stale generation, an unknown cache
-//! id, and a garbage payload. The server must answer `CacheMiss` or
-//! `CallError` — never panic, never serve stale state.
+//! | model | alphabet (depth) | what it adds |
+//! |-------|------------------|--------------|
+//! | [`CoreModel`] | call, mutate, graft, prune, server write, evict (6) | the honest warm protocol, coherence repair, generation lockstep |
+//! | [`AdversarialModel`] | core + stale generation, unknown cache, garbage payload (4) | hand-built hostile frames: the server must answer `CacheMiss` or `CallError` |
+//! | [`ReliabilityModel`] | call, mutate, drop request/reply, duplicate, disconnect (4) | the retry client over a lossy link: exactly-once |
+//! | [`SharedModel`] | call, mutate, evict × two connections (5) | one lock-split server, one shared reply cache: no torn heap |
+//! | [`SharedGraphModel`] | call, mutate, evict × two, drop A (4) | two leased warm sessions on ONE heap: coherence and lease safety |
+//! | [`PipelinedModel`] | issue, collect × two slots, swap, drop (4) | two calls in flight on one connection: reply routing |
+//! | [`ReactorModel`] | issue × two, run job, retransmit, collect × two (4) | the reactor's offload step over two connections and two workers |
 //!
 //! ## Invariants, checked after every action
 //!
@@ -41,17 +42,17 @@
 //!   twin is exactly what a cold copy-restore call computes, warm ≡ twin
 //!   subsumes warm ≡ cold.
 //! * `P004` — an unexpected frame or transport outcome: a reply the
-//!   state machine forbids ([`judge_reply`]), or a deadlock (the client
-//!   blocks on a reply the server never produced, surfaced as a
-//!   disconnect by the queue-backed transport).
+//!   state machine forbids ([`judge_reply`]), a call that failed where
+//!   its oracle succeeded, or a deadlock (a reply the server never
+//!   produced: the loopback's queue is empty when the client reads).
 //! * `P005` — generation lockstep broken: the client's next-generation
 //!   counter disagrees with the server's for a live session.
 //! * `P006` — a panic anywhere in the sequence (caught per sequence;
 //!   the diagnostic carries the action trace and panic message).
 //! * `P007` — at-most-once broken: the number of service executions
 //!   disagrees with the number of completed calls, under faults (the
-//!   reliability model) or across two connections sharing one reply
-//!   cache (the shared model).
+//!   reliability model), across two connections sharing one reply
+//!   cache (the shared model), or across pipelined and offloaded calls.
 //! * `P008` — a reply observed a torn heap state: after any
 //!   two-connection interleaving on the lock-split shared server, some
 //!   client graph no longer matches its private oracle twin — another
@@ -77,71 +78,23 @@
 //!   write (the positional merge rule), or a connection teardown freed
 //!   an object another connection's live session still synchronizes.
 
-use std::collections::HashSet;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use nrmi_core::ClientNode;
 use nrmi_core::{
     client_apply_reply, client_evict_warm, client_invoke_warm_with_stats, client_marshal_call,
-    CallOptions, Connection, FnService, Host, NrmiError, PassMode, PendingCall, ServerNode, Step,
-    WarmCaches,
+    run_offloaded, CallOptions, ClientNode, Connection, FnService, Loopback, NrmiError, PassMode,
+    PendingCall, ReliableTransport, RetryPolicy, ServerNode, SharedServer, Step, WarmCaches,
 };
 use nrmi_heap::validate::validate;
-use nrmi_heap::{graph, ClassRegistry, Heap, HeapAccess, ObjId, Value};
+use nrmi_heap::{graph, ClassRegistry, Heap, HeapAccess, ObjId, SharedRegistry, Value};
 use nrmi_transport::{Frame, MachineSpec, Transport, TransportError};
 
 use crate::diag::{Diagnostic, Report};
-
-/// One protocol action the checker can take. See the module docs for
-/// the transition each exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Action {
-    /// A warm call through the real client API (seeds on first use).
-    Call,
-    /// Mutate the root's `data` on the client (a dirty position).
-    MutateClient,
-    /// Splice a fresh node above the root's left subtree (a new object).
-    Graft,
-    /// Unlink and free the root's left subtree (freed positions).
-    Prune,
-    /// Mutate the server's cached graph out-of-band (coherence drop).
-    MutateServer,
-    /// Orderly client-side eviction of the warm session.
-    Evict,
-    /// Inject a warm request with a stale generation (must miss).
-    StaleGeneration,
-    /// Inject a warm request naming a cache id never seeded (must miss).
-    UnknownCache,
-    /// Inject a warm request whose payload is garbage (must error).
-    GarbagePayload,
-}
-
-/// The honest alphabet: every transition of the cold/warm/delta state
-/// machine, including coherence invalidation and eviction.
-pub const CORE_ALPHABET: [Action; 6] = [
-    Action::Call,
-    Action::MutateClient,
-    Action::Graft,
-    Action::Prune,
-    Action::MutateServer,
-    Action::Evict,
-];
-
-/// Core alphabet plus hand-built hostile frames.
-pub const ADVERSARIAL_ALPHABET: [Action; 9] = [
-    Action::Call,
-    Action::MutateClient,
-    Action::Graft,
-    Action::Prune,
-    Action::MutateServer,
-    Action::Evict,
-    Action::StaleGeneration,
-    Action::UnknownCache,
-    Action::GarbagePayload,
-];
 
 /// What the state machine expects back for a frame it just sent; the
 /// context [`judge_reply`] judges a reply frame against.
@@ -206,104 +159,81 @@ pub fn judge_reply(ctx: ReplyContext, reply: &Frame) -> Option<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// The dispatch transport: client and server joined without threads
+// The harness: one model trait, one sequence runner, one fixture
 // ---------------------------------------------------------------------------
 
-/// A transport that swallows frames and never produces one; stands in
-/// for the (unused) callback channel of the engine steps the checker
-/// drives.
-struct NullTransport;
-
-impl Transport for NullTransport {
-    fn send(&mut self, _frame: &Frame) -> nrmi_transport::Result<()> {
-        Ok(())
-    }
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        Err(TransportError::Disconnected)
-    }
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        Err(TransportError::Disconnected)
-    }
+/// One checked world: its alphabet, how deep CI enumerates it, and what
+/// each action does and checks. A fresh world per sequence, panic
+/// capture, traces and the enumeration itself belong to the harness.
+pub trait Model {
+    /// One action of the alphabet.
+    type Action: Copy + fmt::Debug + 'static;
+    /// The name the coverage note reports this model's depth under.
+    const NAME: &'static str;
+    /// Every action the enumeration draws from.
+    const ALPHABET: &'static [Self::Action];
+    /// Exhaustive depth of the full (CI) enumeration.
+    const DEPTH: usize;
+    /// A fresh world.
+    fn new() -> Self;
+    /// Applies one action, then checks the world's invariants, reporting
+    /// violations into `report`.
+    fn step(&mut self, action: Self::Action, report: &mut Report);
 }
 
-/// Runs one frame through the server's real connection engine and
-/// returns everything the step answers, in wire order. A frame the
-/// engine rejects as a protocol error (the serve loop would end the
-/// connection) is answered with an error the checker will surface.
-fn engine_step(conn: &mut Connection, host: Host<'_>, frame: &Frame) -> Vec<Frame> {
-    let mut out = Vec::new();
-    if let Err(e) = conn.on_frame(host, &mut NullTransport, frame.clone(), &mut out) {
-        out.push(Frame::CallError {
-            message: format!("checker: {e}"),
-        });
-    }
-    out
-}
-
-/// The server side of the model: a real [`ServerNode`] plus one
-/// connection's engine state, exposed to the client as a [`Transport`].
-/// `send` runs the frame through the engine synchronously and queues
-/// what it answers; `recv` drains the queue. A recv on an empty queue
-/// means the server produced no reply — the threaded deployment would
-/// deadlock — and surfaces as [`TransportError::Disconnected`], which
-/// the checker reports as `NRMI-P004`.
-struct ServerSide {
-    server: ServerNode,
-    conn: Connection,
-    replies: VecDeque<Frame>,
-    faults: FaultFlags,
-}
-
-/// Single-shot fault counters the reliability alphabet arms; each is
-/// consumed by the next frame it applies to.
-#[derive(Default)]
-struct FaultFlags {
-    drop_requests: u32,
-    drop_replies: u32,
-    duplicate_requests: u32,
-    disconnects: u32,
-}
-
-impl ServerSide {
-    fn new(server: ServerNode) -> Self {
-        ServerSide {
-            server,
-            conn: Connection::new(WarmCaches::new()),
-            replies: VecDeque::new(),
-            faults: FaultFlags::default(),
+/// Runs one action sequence against a fresh `M` world and returns every
+/// violation, each tagged with the action trace and the step it
+/// appeared at. A panic anywhere in the sequence becomes `NRMI-P006`
+/// with the trace.
+pub fn check_sequence<M: Model>(actions: &[M::Action]) -> Report {
+    let trace = actions
+        .iter()
+        .map(|a| format!("{a:?}"))
+        .collect::<Vec<_>>()
+        .join(" → ");
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut world = M::new();
+        let mut report = Report::new();
+        for (i, &action) in actions.iter().enumerate() {
+            world.step(action, &mut report);
+            if report.has_errors() {
+                return report
+                    .diagnostics()
+                    .iter()
+                    .cloned()
+                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
+                    .collect();
+            }
         }
-    }
-
-    /// Dispatches one frame to the server through the engine, returning
-    /// what it answers.
-    fn dispatch(&mut self, frame: &Frame) -> Vec<Frame> {
-        engine_step(&mut self.conn, Host::Node(&mut self.server), frame)
-    }
+        report
+    }));
+    outcome.unwrap_or_else(|payload| {
+        let mut report = Report::new();
+        report.push(
+            Diagnostic::error(
+                "NRMI-P006",
+                format!("sequence panicked: {}", panic_message(&*payload)),
+            )
+            .with("trace", &trace),
+        );
+        report
+    })
 }
 
-impl Transport for ServerSide {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let out = self.dispatch(frame);
-        self.replies.extend(out);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        // An empty queue is the no-reply deadlock, made finite.
-        self.replies.pop_front().ok_or(TransportError::Disconnected)
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
     }
 }
-
-// ---------------------------------------------------------------------------
-// The world: real client + real server + local oracle twin
-// ---------------------------------------------------------------------------
 
 const SVC: &str = "svc";
 const METHOD: &str = "run";
+/// Endpoint names of the two-party models.
+const NAMES: [&str; 2] = ["A", "B"];
 
 /// The deterministic service body, shared verbatim between the remote
 /// service and the local oracle twin: DFS from the root, rewrite each
@@ -312,10 +242,7 @@ fn service_logic(heap: &mut dyn HeapAccess, root: ObjId) -> Result<Value, NrmiEr
     let mut stack = vec![root];
     let mut sum: i64 = 0;
     while let Some(id) = stack.pop() {
-        let d = heap
-            .get_field(id, "data")?
-            .as_int()
-            .ok_or_else(|| NrmiError::app("data is not an int"))?;
+        let d = int_data(heap, id)?;
         sum += i64::from(d);
         heap.set_field(id, "data", Value::Int(d.wrapping_mul(3).wrapping_add(1)))?;
         if let Some(l) = heap.get_ref(id, "left")? {
@@ -328,30 +255,28 @@ fn service_logic(heap: &mut dyn HeapAccess, root: ObjId) -> Result<Value, NrmiEr
     Ok(Value::Long(sum))
 }
 
-/// One fresh client/server/twin triple, re-created per enumerated
-/// sequence.
-struct World {
-    client: ClientNode,
-    link: ServerSide,
-    root: ObjId,
-    /// The oracle: a plain local heap holding the same graph, touched by
-    /// the same logic with no middleware in between.
-    twin: Heap,
-    twin_root: ObjId,
-    /// The server-side root of the cached session graph, leaked by the
-    /// service body so `MutateServer` can poke it out-of-band.
-    server_root: Arc<Mutex<Option<ObjId>>>,
-    /// True when the client has written the root object since its last
-    /// completed call. The coherence merge rule keys off this: a
-    /// server-side poke of the root is only *visible* to the next call
-    /// when the client's own request delta does not rewrite the root
-    /// (client wins at object granularity when it does).
-    client_wrote_root: bool,
-    /// Counter for grafted nodes (also mirrored into the twin).
-    next_data: i32,
+fn int_data(heap: &mut dyn HeapAccess, id: ObjId) -> Result<i32, NrmiError> {
+    heap.get_field(id, "data")?
+        .as_int()
+        .ok_or_else(|| NrmiError::app("data is not an int"))
 }
 
-impl World {
+fn root_arg(args: &[Value]) -> Result<ObjId, NrmiError> {
+    args[0]
+        .as_ref_id()
+        .ok_or_else(|| NrmiError::app("want a root reference"))
+}
+
+/// What every model is built from: the `Node` class registry, the
+/// service's execution counter, and the server-side root the service
+/// last ran on (leaked so a model can write it out-of-band).
+struct Fixture {
+    registry: SharedRegistry,
+    executions: Arc<AtomicUsize>,
+    last_root: Arc<Mutex<Option<ObjId>>>,
+}
+
+impl Fixture {
     fn new() -> Self {
         let mut reg = ClassRegistry::new();
         reg.define("Node")
@@ -360,374 +285,87 @@ impl World {
             .field_ref("right")
             .restorable()
             .register();
-        let registry = reg.snapshot();
+        Fixture {
+            registry: reg.snapshot(),
+            executions: Arc::new(AtomicUsize::new(0)),
+            last_root: Arc::new(Mutex::new(None)),
+        }
+    }
 
-        let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        let server_root: Arc<Mutex<Option<ObjId>>> = Arc::new(Mutex::new(None));
-        let leaked = Arc::clone(&server_root);
+    /// A server node with [`SVC`] bound to the counted service.
+    fn server(&self) -> ServerNode {
+        let mut server = ServerNode::new(self.registry.clone(), MachineSpec::fast());
+        let executions = Arc::clone(&self.executions);
+        let last_root = Arc::clone(&self.last_root);
         server.bind(
             SVC,
             Box::new(FnService::new(move |_method, args, heap| {
-                let root = args[0]
-                    .as_ref_id()
-                    .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                *leaked.lock().expect("poisoned") = Some(root);
+                let root = root_arg(args)?;
+                executions.fetch_add(1, Ordering::SeqCst);
+                *last_root.lock().expect("poisoned") = Some(root);
                 service_logic(heap, root)
             })),
         );
-
-        let root = build_tree(&mut client.state.heap, &registry);
-        let mut twin = Heap::new(registry.clone());
-        let twin_root = build_tree(&mut twin, &registry);
-
-        World {
-            client,
-            link: ServerSide::new(server),
-            root,
-            twin,
-            twin_root,
-            server_root,
-            client_wrote_root: false,
-            next_data: 100,
-        }
+        server
     }
 
-    /// Applies one action to the world, reporting violations into
-    /// `report`.
-    fn step(&mut self, action: Action, report: &mut Report) {
-        match action {
-            Action::Call => self.do_call(report),
-            Action::MutateClient => self.do_mutate_client(report),
-            Action::Graft => self.do_graft(report),
-            Action::Prune => self.do_prune(report),
-            Action::MutateServer => self.do_mutate_server(),
-            Action::Evict => self.do_evict(report),
-            Action::StaleGeneration => self.inject(ReplyContext::StaleGeneration, report),
-            Action::UnknownCache => self.inject(ReplyContext::UnknownCache, report),
-            Action::GarbagePayload => self.inject(ReplyContext::GarbagePayload, report),
-        }
-        self.check_heaps(report);
-        self.check_lockstep(report);
-    }
-
-    /// Mirrors the coherence merge rule into the twin: a `MutateServer`
-    /// poke of the root becomes visible to the next call exactly when
-    /// the warm session is live on both sides **and** the client has not
-    /// written the root itself since its last call (otherwise the
-    /// client's in-flight slots win and the poke is erased). When
-    /// visible, the server's current root `data` is what the call will
-    /// compute with, so the twin adopts it. When the server was never
-    /// poked this is a no-op: between calls only pokes can make the
-    /// server's root diverge from the twin's.
-    fn sync_twin_with_visible_pokes(&mut self) {
-        if self.client_wrote_root {
-            return;
-        }
-        let Some(server_root) = *self.server_root.lock().expect("poisoned") else {
-            return;
+    /// A fresh client and oracle twin, each holding the tree
+    /// `root(root_data, left(2), right(3))`.
+    fn endpoint(&self, root_data: i32) -> Endpoint {
+        let mut client = ClientNode::new(self.registry.clone(), MachineSpec::fast());
+        let mut twin = Heap::new(self.registry.clone());
+        let tree = Tree {
+            root: build_tree(&mut client.state.heap, root_data),
+            twin_root: build_tree(&mut twin, root_data),
         };
-        let (Some(cache_id), Some(client_gen)) = (
-            self.client.warm.cache_id(SVC),
-            self.client.warm.generation(SVC),
-        ) else {
-            return; // no client session: the next call reseeds wholesale
-        };
-        if self.link.conn.warm().generation_of(cache_id) != Some(client_gen) {
-            return; // server entry gone or out of step: reseed, not repair
-        }
-        if let Ok(Value::Int(d)) = self.link.server.state.heap.get_field(server_root, "data") {
-            let _ = self.twin.set_field(self.twin_root, "data", Value::Int(d));
-        }
+        Endpoint { client, twin, tree }
     }
 
-    fn do_call(&mut self, report: &mut Report) {
-        self.sync_twin_with_visible_pokes();
-        self.client_wrote_root = false;
-        let warm = client_invoke_warm_with_stats(
-            &mut self.client,
-            &mut self.link,
-            SVC,
-            METHOD,
-            &[Value::Ref(self.root)],
-        );
-        let oracle = service_logic(&mut self.twin, self.twin_root);
-        match (warm, oracle) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
-                    report.push(
-                        Diagnostic::error(
-                            "NRMI-P003",
-                            format!(
-                                "warm call diverged from the local oracle: warm returned \
-                                 {got:?}, direct execution returned {want:?}"
-                            ),
-                        )
-                        .with("warm", format!("{got:?}"))
-                        .with("oracle", format!("{want:?}")),
-                    );
-                }
-                match graph::isomorphic(
-                    &self.client.state.heap,
-                    self.root,
-                    &self.twin,
-                    self.twin_root,
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        "restored client graph is not isomorphic to the local oracle graph",
-                    )),
-                    Err(e) => report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        format!("isomorphism comparison failed: {e}"),
-                    )),
-                }
-            }
-            (Err(e), Ok(_)) => report.push(
+    /// `link` behind the real retry client, in instant virtual time:
+    /// links never block, so retries are bounded by attempts, not wall
+    /// clock.
+    fn reliable<T: Transport>(link: T, nonce: u64) -> ReliableTransport<T> {
+        let policy = RetryPolicy {
+            deadline: Duration::from_secs(30),
+            attempt_timeout: Duration::from_millis(1),
+            max_attempts: 16,
+            base_backoff: Duration::ZERO,
+            max_backoff: Duration::ZERO,
+            jitter: false,
+        };
+        ReliableTransport::with_nonce(link, policy, nonce)
+    }
+
+    /// `NRMI-P007`: the service ran exactly once per call that `what`
+    /// counts — never twice.
+    fn check_executions(&self, expected: usize, what: &str, report: &mut Report) {
+        let ran = self.executions.load(Ordering::SeqCst);
+        if ran != expected {
+            report.push(
                 Diagnostic::error(
-                    "NRMI-P004",
-                    format!("warm call failed where the oracle succeeded: {e}"),
+                    "NRMI-P007",
+                    format!(
+                        "at-most-once violated: {ran} service execution(s) for {expected} {what}"
+                    ),
                 )
-                .with("error", e.to_string()),
-            ),
-            (_, Err(e)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
-            )),
-        }
-    }
-
-    fn do_mutate_client(&mut self, report: &mut Report) {
-        for (heap, root) in [
-            (&mut self.client.state.heap, self.root),
-            (&mut self.twin, self.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let d = heap
-                    .get_field(root, "data")?
-                    .as_int()
-                    .ok_or_else(|| NrmiError::app("data is not an int"))?;
-                heap.set_field(root, "data", Value::Int(d.wrapping_add(10)))?;
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client mutation failed: {e}"),
-                ));
-            }
-        }
-        self.client_wrote_root = true;
-    }
-
-    fn do_graft(&mut self, report: &mut Report) {
-        let data = self.next_data;
-        self.next_data += 1;
-        self.client_wrote_root = true; // root.left is rewritten below
-        for (heap, root) in [
-            (&mut self.client.state.heap, self.root),
-            (&mut self.twin, self.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let class = heap.registry().by_name("Node").expect("registered");
-                let old_left = heap.get_field(root, "left")?;
-                let fresh = heap.alloc(class, vec![Value::Int(data), old_left, Value::Null])?;
-                heap.set_field(root, "left", Value::Ref(fresh))?;
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client graft failed: {e}"),
-                ));
-            }
-        }
-    }
-
-    fn do_prune(&mut self, report: &mut Report) {
-        // A prune only writes the root when there is something to cut;
-        // both heaps agree on that by lockstep construction.
-        if matches!(
-            self.client.state.heap.get_ref(self.root, "left"),
-            Ok(Some(_))
-        ) {
-            self.client_wrote_root = true;
-        }
-        for (heap, root) in [
-            (&mut self.client.state.heap, self.root),
-            (&mut self.twin, self.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let Some(left) = heap.get_ref(root, "left")? else {
-                    return Ok(()); // nothing to prune
-                };
-                heap.set_field(root, "left", Value::Null)?;
-                // The graph is a tree by construction, so the whole left
-                // subtree is garbage once unlinked.
-                for id in reachable_from(heap, left) {
-                    heap.free(id)?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client prune failed: {e}"),
-                ));
-            }
-        }
-    }
-
-    fn do_mutate_server(&mut self) {
-        // An out-of-band server-side write: another connection or a local
-        // caller touching the cached graph. The version vector must keep
-        // the next warm call from reading stale state — either a
-        // `CacheStale` patch repairs the client's copy, or the client's
-        // own in-flight write to the same object wins the merge.
-        let root = *self.server_root.lock().expect("poisoned");
-        if let Some(root) = root {
-            let heap = &mut self.link.server.state.heap;
-            if let Ok(Value::Int(d)) = heap.get_field(root, "data") {
-                let _ = heap.set_field(root, "data", Value::Int(d.wrapping_add(1000)));
-            }
-        }
-    }
-
-    fn do_evict(&mut self, report: &mut Report) {
-        if let Err(e) = client_evict_warm(&mut self.client, &mut self.link, SVC) {
-            report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("eviction failed: {e}"),
-            ));
-        }
-        // The eviction freed the server's session graph; the leaked root
-        // no longer names anything MutateServer may touch.
-        *self.server_root.lock().expect("poisoned") = None;
-    }
-
-    /// Builds and injects one hostile frame, judging the reply against
-    /// the state machine.
-    fn inject(&mut self, ctx: ReplyContext, report: &mut Report) {
-        let mode = CallOptions::copy_restore_delta().to_wire();
-        let frame = match ctx {
-            ReplyContext::StaleGeneration => {
-                let (Some(cache_id), Some(generation)) = (
-                    self.client.warm.cache_id(SVC),
-                    self.client.warm.generation(SVC),
-                ) else {
-                    return; // no session to be stale against
-                };
-                Frame::CallRequestWarm {
-                    service: SVC.to_owned(),
-                    method: METHOD.to_owned(),
-                    mode,
-                    cache_id,
-                    generation: generation + 7,
-                    payload: Vec::new(),
-                }
-            }
-            ReplyContext::UnknownCache => Frame::CallRequestWarm {
-                service: SVC.to_owned(),
-                method: METHOD.to_owned(),
-                mode,
-                cache_id: u64::MAX,
-                generation: 3,
-                payload: Vec::new(),
-            },
-            ReplyContext::GarbagePayload => {
-                let (Some(cache_id), Some(generation)) = (
-                    self.client.warm.cache_id(SVC),
-                    self.client.warm.generation(SVC),
-                ) else {
-                    return; // garbage against a live session or nothing
-                };
-                Frame::CallRequestWarm {
-                    service: SVC.to_owned(),
-                    method: METHOD.to_owned(),
-                    mode,
-                    cache_id,
-                    generation,
-                    payload: vec![0xFF, 0x00, 0x01],
-                }
-            }
-            _ => unreachable!("inject only models adversarial contexts"),
-        };
-        // The reply is the step's last frame. Anything before it is a
-        // `CacheStale` push for the honest session — addressed to a
-        // client that is not reading here, so it is dropped; the
-        // honest session converges anyway, because its next reply
-        // delta ships every position its call rewrites.
-        match self.link.dispatch(&frame).last() {
-            Some(reply) => {
-                if let Some(diag) = judge_reply(ctx, reply) {
-                    report.push(diag);
-                }
-            }
-            None => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("server produced no reply to {ctx:?} (deadlock)"),
-            )),
-        }
-        // The injected frame consumed the server-side entry (dropped on
-        // mismatch/garbage): the honest client is now out of sync by
-        // design and recovers through CacheMiss → reseed on its next
-        // call. That recovery is part of what the enumeration covers.
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        for (label, code, heap) in [
-            ("client", "NRMI-P001", &self.client.state.heap),
-            ("server", "NRMI-P002", &self.link.server.state.heap),
-            ("oracle", "NRMI-P001", &self.twin),
-        ] {
-            for v in validate(heap) {
-                report.push(
-                    Diagnostic::error(code, format!("{label} heap corrupted: {v}"))
-                        .with("heap", label),
-                );
-            }
-        }
-    }
-
-    fn check_lockstep(&mut self, report: &mut Report) {
-        let (Some(cache_id), Some(client_gen)) = (
-            self.client.warm.cache_id(SVC),
-            self.client.warm.generation(SVC),
-        ) else {
-            return;
-        };
-        // The server may legitimately have dropped the entry (coherence,
-        // injection); lockstep only binds while both sides are live.
-        if let Some(server_gen) = self.link.conn.warm().generation_of(cache_id) {
-            if server_gen != client_gen {
-                report.push(
-                    Diagnostic::error(
-                        "NRMI-P005",
-                        format!(
-                            "generation lockstep broken: client will send {client_gen}, \
-                             server expects {server_gen}"
-                        ),
-                    )
-                    .with("cache_id", cache_id),
-                );
-            }
+                .with("executions", ran)
+                .with("calls", expected),
+            );
         }
     }
 }
 
-/// Allocates the initial three-node tree `root(1, left(2), right(3))`.
-fn build_tree(heap: &mut Heap, registry: &nrmi_heap::SharedRegistry) -> ObjId {
-    let class = registry.by_name("Node").expect("registered");
-    let left = heap
-        .alloc(class, vec![Value::Int(2), Value::Null, Value::Null])
-        .expect("alloc");
-    let right = heap
-        .alloc(class, vec![Value::Int(3), Value::Null, Value::Null])
-        .expect("alloc");
+/// Allocates the tree `root(root_data, left(2), right(3))`.
+fn build_tree(heap: &mut Heap, root_data: i32) -> ObjId {
+    let class = heap.registry().by_name("Node").expect("registered");
+    let mut leaf = |data| {
+        heap.alloc(class, vec![Value::Int(data), Value::Null, Value::Null])
+            .expect("alloc")
+    };
+    let (left, right) = (leaf(2), leaf(3));
     heap.alloc(
         class,
-        vec![Value::Int(1), Value::Ref(left), Value::Ref(right)],
+        vec![Value::Int(root_data), Value::Ref(left), Value::Ref(right)],
     )
     .expect("alloc")
 }
@@ -753,13 +391,605 @@ fn reachable_from(heap: &Heap, root: ObjId) -> Vec<ObjId> {
     order
 }
 
+/// One tree as the client holds it and as its oracle twin holds it.
+#[derive(Clone, Copy, Debug)]
+struct Tree {
+    root: ObjId,
+    twin_root: ObjId,
+}
+
+/// One client of a model: a real client node and its local oracle twin,
+/// a plain heap holding the same tree that the same service logic
+/// mutates with no middleware in between. Client edits are applied to
+/// both; calls are judged against the twin.
+struct Endpoint {
+    client: ClientNode,
+    twin: Heap,
+    /// The tree the endpoint's calls and edits address.
+    tree: Tree,
+}
+
+impl Endpoint {
+    /// Plants a second tree in both heaps.
+    fn plant(&mut self, root_data: i32) -> Tree {
+        Tree {
+            root: build_tree(&mut self.client.state.heap, root_data),
+            twin_root: build_tree(&mut self.twin, root_data),
+        }
+    }
+
+    /// Applies one client-side edit to the client's tree and the twin's.
+    fn edit(
+        &mut self,
+        what: &str,
+        report: &mut Report,
+        edit: impl Fn(&mut Heap, ObjId) -> Result<(), NrmiError>,
+    ) {
+        for (heap, root) in [
+            (&mut self.client.state.heap, self.tree.root),
+            (&mut self.twin, self.tree.twin_root),
+        ] {
+            if let Err(e) = edit(heap, root) {
+                report.push(Diagnostic::error(
+                    "NRMI-P001",
+                    format!("client {what} failed: {e}"),
+                ));
+            }
+        }
+    }
+
+    /// Adds 10 to the root's `data` (a dirty position).
+    fn mutate(&mut self, report: &mut Report) {
+        self.edit("mutation", report, |heap, root| {
+            let d = int_data(heap, root)?;
+            heap.set_field(root, "data", Value::Int(d.wrapping_add(10)))?;
+            Ok(())
+        });
+    }
+
+    /// Splices a fresh node holding `data` above the root's left subtree
+    /// (a new object).
+    fn graft(&mut self, data: i32, report: &mut Report) {
+        self.edit("graft", report, |heap, root| {
+            let class = heap.registry().by_name("Node").expect("registered");
+            let old_left = heap.get_field(root, "left")?;
+            let fresh = heap.alloc(class, vec![Value::Int(data), old_left, Value::Null])?;
+            heap.set_field(root, "left", Value::Ref(fresh))?;
+            Ok(())
+        });
+    }
+
+    /// Unlinks and frees the root's left subtree (freed positions).
+    fn prune(&mut self, report: &mut Report) {
+        self.edit("prune", report, |heap, root| {
+            let Some(left) = heap.get_ref(root, "left")? else {
+                return Ok(()); // nothing to prune
+            };
+            heap.set_field(root, "left", Value::Null)?;
+            // The graph is a tree by construction, so the whole left
+            // subtree is garbage once unlinked.
+            for id in reachable_from(heap, left) {
+                heap.free(id)?;
+            }
+            Ok(())
+        });
+    }
+
+    /// Marshals a copy-restore call on `tree` for the split-phase client
+    /// API, or reports why it could not.
+    fn marshal(
+        &mut self,
+        who: &str,
+        tree: Tree,
+        report: &mut Report,
+    ) -> Option<(Frame, PendingCall)> {
+        let marshalled = client_marshal_call(
+            &mut self.client,
+            SVC,
+            METHOD,
+            &[Value::Ref(tree.root)],
+            CallOptions::forced(PassMode::CopyRestore),
+        );
+        match marshalled {
+            Ok(split) => Some(split),
+            Err(e) => {
+                report.push(Diagnostic::error(
+                    "NRMI-P004",
+                    format!("{who}: marshal failed: {e}"),
+                ));
+                None
+            }
+        }
+    }
+
+    /// Runs the service logic on the twin's copy of `tree` and judges
+    /// what the real call returned against it: a different value is
+    /// `value_code`; a restored graph not isomorphic to the twin's is
+    /// `graph_code` (models that compare graphs after every action pass
+    /// `None`); a call that failed where the oracle ran is `NRMI-P004`.
+    fn judge<T>(
+        &mut self,
+        who: &str,
+        tree: Tree,
+        got: Result<(Value, T), NrmiError>,
+        (value_code, graph_code): (&'static str, Option<&'static str>),
+        report: &mut Report,
+    ) {
+        match (got, service_logic(&mut self.twin, tree.twin_root)) {
+            (Ok((got, _)), Ok(want)) => {
+                if got != want {
+                    report.push(
+                        Diagnostic::error(
+                            value_code,
+                            format!(
+                                "{who}: the call returned {got:?}, its local oracle \
+                                 returned {want:?}"
+                            ),
+                        )
+                        .with("got", format!("{got:?}"))
+                        .with("oracle", format!("{want:?}")),
+                    );
+                }
+                if let Some(code) = graph_code {
+                    self.check_graph(who, tree, code, report);
+                }
+            }
+            (Err(e), Ok(_)) => report.push(
+                Diagnostic::error(
+                    "NRMI-P004",
+                    format!("{who}: the call failed where its local oracle succeeded: {e}"),
+                )
+                .with("error", e.to_string()),
+            ),
+            (_, Err(e)) => report.push(Diagnostic::error(
+                "NRMI-P004",
+                format!("local oracle itself failed (checker bug): {e}"),
+            )),
+        }
+    }
+
+    /// Reports `code` unless the client's copy of `tree` is isomorphic
+    /// to the twin's.
+    fn check_graph(&self, who: &str, tree: Tree, code: &'static str, report: &mut Report) {
+        match graph::isomorphic(
+            &self.client.state.heap,
+            tree.root,
+            &self.twin,
+            tree.twin_root,
+        ) {
+            Ok(true) => {}
+            Ok(false) => report.push(Diagnostic::error(
+                code,
+                format!("{who}: the client graph diverged from its local oracle"),
+            )),
+            Err(e) => report.push(Diagnostic::error(
+                code,
+                format!("{who}: isomorphism comparison failed: {e}"),
+            )),
+        }
+    }
+
+    /// Mirrors the coherence merge rule into the twin before a warm call
+    /// on `svc`. An out-of-band write to the server-side root becomes
+    /// visible to the call exactly when the session is live in
+    /// generation lockstep on both sides, so the repair path reaches it,
+    /// **and** the client has not written the root since its last call
+    /// (`wrote_root`); otherwise the client's request delta wins at
+    /// object granularity and erases the write. When visible, the twin
+    /// adopts the server root's current `data`. With no out-of-band
+    /// write this is a no-op: between calls only such writes make the
+    /// server's root diverge from the twin's.
+    fn adopt_visible_write(
+        &mut self,
+        svc: &str,
+        wrote_root: bool,
+        conn: &Connection,
+        server: &mut Heap,
+        server_root: Option<ObjId>,
+    ) {
+        let Some(server_root) = server_root.filter(|_| !wrote_root) else {
+            return;
+        };
+        let (Some(cache_id), Some(client_gen)) = (
+            self.client.warm.cache_id(svc),
+            self.client.warm.generation(svc),
+        ) else {
+            return; // no client session: the next call reseeds wholesale
+        };
+        if conn.warm().generation_of(cache_id) != Some(client_gen) {
+            return; // server entry gone or out of step: reseed, not repair
+        }
+        if let Ok(Value::Int(d)) = server.get_field(server_root, "data") {
+            let _ = self
+                .twin
+                .set_field(self.tree.twin_root, "data", Value::Int(d));
+        }
+    }
+}
+
+/// `NRMI-P001` / `NRMI-P002`: every heap of a world passes the
+/// structural validator — each endpoint's client and oracle heaps
+/// (P001), labelled by endpoint name, and each server-side heap (P002).
+fn check_heaps(report: &mut Report, endpoints: &[(&str, &Endpoint)], servers: &[(&str, &Heap)]) {
+    let client_side = endpoints.iter().flat_map(|&(who, ep)| {
+        [
+            ("NRMI-P001", "client", who, &ep.client.state.heap),
+            ("NRMI-P001", "oracle", who, &ep.twin),
+        ]
+    });
+    let server_side = servers
+        .iter()
+        .map(|&(who, heap)| ("NRMI-P002", "server", who, heap));
+    for (code, label, who, heap) in client_side.chain(server_side) {
+        for v in validate(heap) {
+            let name = match who {
+                "" => label.to_owned(),
+                who => format!("{label} {who}"),
+            };
+            report.push(
+                Diagnostic::error(code, format!("{name} heap corrupted: {v}")).with("heap", label),
+            );
+        }
+    }
+}
+
+/// The checker's fault injection, in one place: a loopback link whose
+/// single-shot faults the models arm, each consumed by the next frame
+/// it applies to, plus direct reordering and loss of queued replies.
+/// An empty queue is the loopback's `Timeout`: the retry loop, not the
+/// checker, decides what that means.
+struct Lossy {
+    link: Loopback<ServerNode>,
+    /// The next tagged requests vanish in flight.
+    drop_requests: u32,
+    /// The next replies vanish in flight.
+    drop_replies: u32,
+    /// The next tagged requests are delivered twice.
+    duplicate_requests: u32,
+    /// The next receives fail as a broken connection.
+    disconnects: u32,
+}
+
+impl Lossy {
+    fn new(server: ServerNode) -> Self {
+        Lossy {
+            link: Loopback::new(server, Connection::new(WarmCaches::new())),
+            drop_requests: 0,
+            drop_replies: 0,
+            duplicate_requests: 0,
+            disconnects: 0,
+        }
+    }
+
+    /// Swaps the two oldest queued replies (out-of-order delivery).
+    fn swap_oldest(&mut self) {
+        if self.link.queue.len() >= 2 {
+            self.link.queue.swap(0, 1);
+        }
+    }
+
+    /// Discards the oldest queued reply.
+    fn drop_oldest(&mut self) {
+        self.link.queue.pop_front();
+    }
+}
+
+/// Consumes one armed fault, if any is armed.
+fn take(armed: &mut u32) -> bool {
+    let fire = *armed > 0;
+    *armed -= u32::from(fire);
+    fire
+}
+
+impl Transport for Lossy {
+    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
+        let tagged = matches!(frame, Frame::Tagged { .. });
+        if tagged && take(&mut self.drop_requests) {
+            return Ok(()); // the request is lost in flight
+        }
+        let copies = if tagged && take(&mut self.duplicate_requests) {
+            2
+        } else {
+            1
+        };
+        for _ in 0..copies {
+            let before = self.link.queue.len();
+            self.link.send(frame)?;
+            let lost = (self.link.queue.len() - before).min(self.drop_replies as usize);
+            self.link.queue.drain(before..before + lost);
+            self.drop_replies -= lost as u32;
+        }
+        Ok(())
+    }
+
+    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
+        if take(&mut self.disconnects) {
+            return Err(TransportError::Disconnected);
+        }
+        self.link.recv()
+    }
+
+    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
+        self.recv()
+    }
+
+    /// A fresh connection: the old connection's warm sessions are
+    /// released and its queued replies die with it. The reply cache
+    /// lives on the node and survives — the property under test.
+    fn reconnect(&mut self) -> nrmi_transport::Result<bool> {
+        self.link.reconnect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The warm models: one client, one server, hostile frames optional
+// ---------------------------------------------------------------------------
+
+/// One protocol action of the warm models. See the module docs for the
+/// transition each exercises.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Action {
+    /// A warm call through the real client API (seeds on first use).
+    Call,
+    /// Mutate the root's `data` on the client (a dirty position).
+    MutateClient,
+    /// Splice a fresh node above the root's left subtree (a new object).
+    Graft,
+    /// Unlink and free the root's left subtree (freed positions).
+    Prune,
+    /// Mutate the server's cached graph out-of-band: a `CacheStale`
+    /// repair patch, or a client-wins merge when the request rewrites
+    /// the same object.
+    MutateServer,
+    /// Orderly client-side eviction of the warm session (`CacheEvict`
+    /// → the server frees the cached graph).
+    Evict,
+    /// Inject a warm request with a stale generation (must miss).
+    StaleGeneration,
+    /// Inject a warm request naming a cache id never seeded (must miss).
+    UnknownCache,
+    /// Inject a warm request whose payload is garbage (must error).
+    GarbagePayload,
+}
+
+/// The warm world: the real warm client and one server connection over
+/// a [`Loopback`], with its oracle twin. `HOSTILE` adds hand-built
+/// frames the client implementation would never send to the alphabet:
+/// a stale generation, an unknown cache id, and a garbage payload. The
+/// server must answer `CacheMiss` or `CallError` — never panic, never
+/// serve stale state.
+pub struct WarmModel<const HOSTILE: bool> {
+    fixture: Fixture,
+    ep: Endpoint,
+    link: Loopback<ServerNode>,
+    /// True when the client has written the root object since its last
+    /// completed call: the coherence merge rule keys off this (see
+    /// `Endpoint::adopt_visible_write`).
+    wrote_root: bool,
+    /// `data` of the next grafted node (mirrored into the twin).
+    next_data: i32,
+}
+
+/// The honest alphabet: every transition of the cold/warm/delta state
+/// machine, including coherence invalidation and eviction.
+pub type CoreModel = WarmModel<false>;
+/// The core alphabet plus hand-built hostile frames.
+pub type AdversarialModel = WarmModel<true>;
+
+impl<const HOSTILE: bool> Model for WarmModel<HOSTILE> {
+    type Action = Action;
+    const NAME: &'static str = if HOSTILE { "adversarial" } else { "core" };
+    const ALPHABET: &'static [Action] = if HOSTILE {
+        &[
+            Action::Call,
+            Action::MutateClient,
+            Action::Graft,
+            Action::Prune,
+            Action::MutateServer,
+            Action::Evict,
+            Action::StaleGeneration,
+            Action::UnknownCache,
+            Action::GarbagePayload,
+        ]
+    } else {
+        &[
+            Action::Call,
+            Action::MutateClient,
+            Action::Graft,
+            Action::Prune,
+            Action::MutateServer,
+            Action::Evict,
+        ]
+    };
+    // 6^6 = 46,656 core and 9^4 = 6,561 adversarial sequences.
+    const DEPTH: usize = if HOSTILE { 4 } else { 6 };
+
+    fn new() -> Self {
+        let fixture = Fixture::new();
+        WarmModel {
+            ep: fixture.endpoint(1),
+            link: Loopback::new(fixture.server(), Connection::new(WarmCaches::new())),
+            fixture,
+            wrote_root: false,
+            next_data: 100,
+        }
+    }
+
+    fn step(&mut self, action: Action, report: &mut Report) {
+        match action {
+            Action::Call => self.call(report),
+            Action::MutateClient => {
+                self.ep.mutate(report);
+                self.wrote_root = true;
+            }
+            Action::Graft => {
+                self.ep.graft(self.next_data, report);
+                self.next_data += 1;
+                self.wrote_root = true; // root.left was rewritten
+            }
+            Action::Prune => {
+                // A prune only writes the root when there is something
+                // to cut; both heaps agree on that by construction.
+                let root = self.ep.tree.root;
+                if matches!(self.ep.client.state.heap.get_ref(root, "left"), Ok(Some(_))) {
+                    self.wrote_root = true;
+                }
+                self.ep.prune(report);
+            }
+            Action::MutateServer => self.mutate_server(),
+            Action::Evict => {
+                if let Err(e) = client_evict_warm(&mut self.ep.client, &mut self.link, SVC) {
+                    report.push(Diagnostic::error(
+                        "NRMI-P004",
+                        format!("eviction failed: {e}"),
+                    ));
+                }
+                // The eviction freed the server's session graph; its
+                // root no longer names anything MutateServer may touch.
+                *self.fixture.last_root.lock().expect("poisoned") = None;
+            }
+            Action::StaleGeneration => self.inject(ReplyContext::StaleGeneration, report),
+            Action::UnknownCache => self.inject(ReplyContext::UnknownCache, report),
+            Action::GarbagePayload => self.inject(ReplyContext::GarbagePayload, report),
+        }
+        check_heaps(
+            report,
+            &[("", &self.ep)],
+            &[("", &self.link.server.state.heap)],
+        );
+        self.check_lockstep(report);
+    }
+}
+
+impl<const HOSTILE: bool> WarmModel<HOSTILE> {
+    fn call(&mut self, report: &mut Report) {
+        let server_root = *self.fixture.last_root.lock().expect("poisoned");
+        self.ep.adopt_visible_write(
+            SVC,
+            self.wrote_root,
+            &self.link.conn,
+            &mut self.link.server.state.heap,
+            server_root,
+        );
+        self.wrote_root = false;
+        let root = self.ep.tree.root;
+        let got = client_invoke_warm_with_stats(
+            &mut self.ep.client,
+            &mut self.link,
+            SVC,
+            METHOD,
+            &[Value::Ref(root)],
+        );
+        let tree = self.ep.tree;
+        self.ep.judge(
+            "warm call",
+            tree,
+            got,
+            ("NRMI-P003", Some("NRMI-P003")),
+            report,
+        );
+    }
+
+    fn mutate_server(&mut self) {
+        // An out-of-band server-side write: another connection or a local
+        // caller touching the cached graph. The version vector must keep
+        // the next warm call from reading stale state — either a
+        // `CacheStale` patch repairs the client's copy, or the client's
+        // own in-flight write to the same object wins the merge.
+        let root = *self.fixture.last_root.lock().expect("poisoned");
+        if let Some(root) = root {
+            let heap = &mut self.link.server.state.heap;
+            if let Ok(Value::Int(d)) = heap.get_field(root, "data") {
+                let _ = heap.set_field(root, "data", Value::Int(d.wrapping_add(1000)));
+            }
+        }
+    }
+
+    /// Builds and injects one hostile frame, judging the reply against
+    /// the state machine.
+    fn inject(&mut self, ctx: ReplyContext, report: &mut Report) {
+        let session = (
+            self.ep.client.warm.cache_id(SVC),
+            self.ep.client.warm.generation(SVC),
+        );
+        let (cache_id, generation, payload) = match (ctx, session) {
+            (ReplyContext::StaleGeneration, (Some(id), Some(generation))) => {
+                (id, generation + 7, Vec::new())
+            }
+            (ReplyContext::UnknownCache, _) => (u64::MAX, 3, Vec::new()),
+            (ReplyContext::GarbagePayload, (Some(id), Some(generation))) => {
+                (id, generation, vec![0xFF, 0x00, 0x01])
+            }
+            // No session to be stale against, or to send garbage to.
+            _ => return,
+        };
+        let frame = Frame::CallRequestWarm {
+            service: SVC.to_owned(),
+            method: METHOD.to_owned(),
+            mode: CallOptions::copy_restore_delta().to_wire(),
+            cache_id,
+            generation,
+            payload,
+        };
+        if let Err(e) = self.link.step(frame) {
+            report.push(Diagnostic::error(
+                "NRMI-P004",
+                format!("the engine rejected {ctx:?}: {e}"),
+            ));
+        }
+        // The reply is the step's last frame. Anything before it is a
+        // `CacheStale` push for the honest session — addressed to a
+        // client that is not reading here, so it is dropped; the
+        // honest session converges anyway, because its next reply
+        // delta ships every position its call rewrites.
+        match self.link.queue.drain(..).next_back() {
+            Some(reply) => {
+                if let Some(diag) = judge_reply(ctx, &reply) {
+                    report.push(diag);
+                }
+            }
+            None => report.push(Diagnostic::error(
+                "NRMI-P004",
+                format!("server produced no reply to {ctx:?} (deadlock)"),
+            )),
+        }
+        // The injected frame consumed the server-side entry (dropped on
+        // mismatch/garbage): the honest client is now out of sync by
+        // design and recovers through CacheMiss → reseed on its next
+        // call. That recovery is part of what the enumeration covers.
+    }
+
+    /// `NRMI-P005`: while both sides hold the session, the client's next
+    /// generation is the one the server expects. The server may
+    /// legitimately have dropped the entry (coherence, injection).
+    fn check_lockstep(&self, report: &mut Report) {
+        let warm = &self.ep.client.warm;
+        let (Some(cache_id), Some(client_gen)) = (warm.cache_id(SVC), warm.generation(SVC)) else {
+            return;
+        };
+        match self.link.conn.warm().generation_of(cache_id) {
+            Some(server_gen) if server_gen != client_gen => report.push(
+                Diagnostic::error(
+                    "NRMI-P005",
+                    format!(
+                        "generation lockstep broken: client will send {client_gen}, \
+                         server expects {server_gen}"
+                    ),
+                )
+                .with("cache_id", cache_id),
+            ),
+            _ => {}
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The reliability model: the real retry client against a lossy link
 // ---------------------------------------------------------------------------
 
 /// One action of the reliability alphabet, driving the real
-/// [`ReliableTransport`](nrmi_core::ReliableTransport) client over a
-/// lossy in-process link against the real server-side reply cache.
+/// [`ReliableTransport`] client over a lossy loopback link against the
+/// real server-side reply cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReliabilityAction {
     /// A warm call through the reliable transport (checked against the
@@ -782,335 +1012,84 @@ pub enum ReliabilityAction {
     Disconnect,
 }
 
-/// Every transition of the retry/duplicate-suppression state machine.
-pub const RELIABILITY_ALPHABET: [ReliabilityAction; 6] = [
-    ReliabilityAction::Call,
-    ReliabilityAction::MutateClient,
-    ReliabilityAction::DropRequest,
-    ReliabilityAction::DropReply,
-    ReliabilityAction::DuplicateRequest,
-    ReliabilityAction::Disconnect,
-];
-
-/// The lossy link: a handle on the shared [`ServerSide`] that consumes
-/// the armed fault flags. Unlike the bare `ServerSide` transport (where
-/// an empty queue is a deadlock), an empty queue here is a `Timeout` —
-/// the client's retry loop, not the checker, decides what that means.
-struct LossyLink(Arc<Mutex<ServerSide>>);
-
-impl Transport for LossyLink {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let mut side = self.0.lock().expect("poisoned");
-        let tagged = matches!(frame, Frame::Tagged { .. });
-        if tagged && side.faults.drop_requests > 0 {
-            side.faults.drop_requests -= 1;
-            return Ok(()); // the request is lost in flight
-        }
-        let copies = if tagged && side.faults.duplicate_requests > 0 {
-            side.faults.duplicate_requests -= 1;
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            for reply in side.dispatch(frame) {
-                if side.faults.drop_replies > 0 {
-                    side.faults.drop_replies -= 1; // the reply is lost
-                } else {
-                    side.replies.push_back(reply);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        let mut side = self.0.lock().expect("poisoned");
-        if side.faults.disconnects > 0 {
-            side.faults.disconnects -= 1;
-            return Err(TransportError::Disconnected);
-        }
-        side.replies.pop_front().ok_or(TransportError::Timeout)
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-
-    fn reconnect(&mut self) -> nrmi_transport::Result<bool> {
-        let mut side = self.0.lock().expect("poisoned");
-        // A fresh connection: per-connection warm session graphs are
-        // released (as serve_connection's teardown does) and queued
-        // replies die with the old socket. The reply cache lives on the
-        // node and survives — that is the property under test.
-        let ServerSide { server, conn, .. } = &mut *side;
-        conn.close(&mut server.state.heap);
-        side.replies.clear();
-        Ok(true)
-    }
+/// The retry/duplicate-suppression state machine: the real warm client
+/// behind a real [`ReliableTransport`] over the checker's lossy link.
+/// The service counts its executions, so a duplicate execution is
+/// observable directly (`P007`), not only through graph divergence.
+pub struct ReliabilityModel {
+    fixture: Fixture,
+    ep: Endpoint,
+    transport: ReliableTransport<Lossy>,
+    calls: usize,
 }
 
-/// Fresh world per reliability sequence: the real warm client behind a
-/// real [`ReliableTransport`](nrmi_core::ReliableTransport), the real
-/// server + reply cache behind a [`LossyLink`], and the local oracle
-/// twin. The service counts its executions so duplicate execution is
-/// observable directly, not only through graph divergence.
-struct ReliableWorld {
-    client: ClientNode,
-    transport: nrmi_core::ReliableTransport<LossyLink>,
-    side: Arc<Mutex<ServerSide>>,
-    root: ObjId,
-    twin: Heap,
-    twin_root: ObjId,
-    executions: Arc<std::sync::atomic::AtomicUsize>,
-    expected_executions: usize,
-}
+impl Model for ReliabilityModel {
+    type Action = ReliabilityAction;
+    const NAME: &'static str = "reliability";
+    const ALPHABET: &'static [ReliabilityAction] = &[
+        ReliabilityAction::Call,
+        ReliabilityAction::MutateClient,
+        ReliabilityAction::DropRequest,
+        ReliabilityAction::DropReply,
+        ReliabilityAction::DuplicateRequest,
+        ReliabilityAction::Disconnect,
+    ];
+    // 6^4 = 1,296 sequences.
+    const DEPTH: usize = 4;
 
-impl ReliableWorld {
     fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        let executions = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&executions);
-        server.bind(
-            SVC,
-            Box::new(FnService::new(move |_method, args, heap| {
-                let root = args[0]
-                    .as_ref_id()
-                    .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                service_logic(heap, root)
-            })),
-        );
-
-        let root = build_tree(&mut client.state.heap, &registry);
-        let mut twin = Heap::new(registry.clone());
-        let twin_root = build_tree(&mut twin, &registry);
-
-        let side = Arc::new(Mutex::new(ServerSide::new(server)));
-        // Instant virtual time: the lossy link never blocks, so retries
-        // are bounded by attempts, not wall clock.
-        let policy = nrmi_core::RetryPolicy {
-            deadline: Duration::from_secs(30),
-            attempt_timeout: Duration::from_millis(1),
-            max_attempts: 16,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter: false,
-        };
-        let transport = nrmi_core::ReliableTransport::with_nonce(
-            LossyLink(Arc::clone(&side)),
-            policy,
-            0xC4_11_1D,
-        );
-
-        ReliableWorld {
-            client,
-            transport,
-            side,
-            root,
-            twin,
-            twin_root,
-            executions,
-            expected_executions: 0,
+        let fixture = Fixture::new();
+        ReliabilityModel {
+            ep: fixture.endpoint(1),
+            transport: Fixture::reliable(Lossy::new(fixture.server()), 0xC4_11_1D),
+            fixture,
+            calls: 0,
         }
     }
 
     fn step(&mut self, action: ReliabilityAction, report: &mut Report) {
         match action {
-            ReliabilityAction::Call => self.do_call(report),
-            ReliabilityAction::MutateClient => self.do_mutate_client(report),
-            ReliabilityAction::DropRequest => {
-                self.side.lock().expect("poisoned").faults.drop_requests += 1;
-            }
-            ReliabilityAction::DropReply => {
-                self.side.lock().expect("poisoned").faults.drop_replies += 1;
-            }
-            ReliabilityAction::DuplicateRequest => {
-                self.side
-                    .lock()
-                    .expect("poisoned")
-                    .faults
-                    .duplicate_requests += 1;
-            }
-            ReliabilityAction::Disconnect => {
-                self.side.lock().expect("poisoned").faults.disconnects += 1;
-            }
-        }
-        self.check_heaps(report);
-        self.check_at_most_once(report);
-    }
-
-    fn do_call(&mut self, report: &mut Report) {
-        let warm = client_invoke_warm_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            SVC,
-            METHOD,
-            &[Value::Ref(self.root)],
-        );
-        let oracle = service_logic(&mut self.twin, self.twin_root);
-        self.expected_executions += 1;
-        match (warm, oracle) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
-                    report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        format!(
-                            "reliable warm call diverged from the oracle: got {got:?}, \
-                             want {want:?}"
-                        ),
-                    ));
-                }
-                match graph::isomorphic(
-                    &self.client.state.heap,
-                    self.root,
-                    &self.twin,
-                    self.twin_root,
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        "restored graph diverged from the oracle under faults \
-                         (a retransmission re-applied the mutation?)",
-                    )),
-                    Err(e) => report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        format!("isomorphism comparison failed: {e}"),
-                    )),
-                }
-            }
-            (Err(e), Ok(_)) => report.push(
-                Diagnostic::error(
-                    "NRMI-P004",
-                    format!(
-                        "reliable call failed where the oracle succeeded \
-                         (the retry loop must mask single-shot faults): {e}"
-                    ),
-                )
-                .with("error", e.to_string()),
-            ),
-            (_, Err(e)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
-            )),
-        }
-    }
-
-    fn do_mutate_client(&mut self, report: &mut Report) {
-        for (heap, root) in [
-            (&mut self.client.state.heap, self.root),
-            (&mut self.twin, self.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let d = heap
-                    .get_field(root, "data")?
-                    .as_int()
-                    .ok_or_else(|| NrmiError::app("data is not an int"))?;
-                heap.set_field(root, "data", Value::Int(d.wrapping_add(10)))?;
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client mutation failed: {e}"),
-                ));
-            }
-        }
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        let side = self.side.lock().expect("poisoned");
-        for (label, code, heap) in [
-            ("client", "NRMI-P001", &self.client.state.heap),
-            ("server", "NRMI-P002", &side.server.state.heap),
-            ("oracle", "NRMI-P001", &self.twin),
-        ] {
-            for v in validate(heap) {
-                report.push(
-                    Diagnostic::error(code, format!("{label} heap corrupted: {v}"))
-                        .with("heap", label),
+            ReliabilityAction::Call => {
+                let root = self.ep.tree.root;
+                let got = client_invoke_warm_with_stats(
+                    &mut self.ep.client,
+                    &mut self.transport,
+                    SVC,
+                    METHOD,
+                    &[Value::Ref(root)],
+                );
+                self.calls += 1;
+                let tree = self.ep.tree;
+                self.ep.judge(
+                    "reliable call",
+                    tree,
+                    got,
+                    ("NRMI-P003", Some("NRMI-P003")),
+                    report,
                 );
             }
-        }
-    }
-
-    /// The tentpole invariant: under any drop/duplicate/disconnect
-    /// schedule, the service body runs exactly once per completed call —
-    /// never twice (`NRMI-P007`).
-    fn check_at_most_once(&mut self, report: &mut Report) {
-        let ran = self.executions.load(std::sync::atomic::Ordering::SeqCst);
-        if ran != self.expected_executions {
-            report.push(
-                Diagnostic::error(
-                    "NRMI-P007",
-                    format!(
-                        "at-most-once violated: {ran} service execution(s) for \
-                         {} completed call(s)",
-                        self.expected_executions
-                    ),
-                )
-                .with("executions", ran)
-                .with("calls", self.expected_executions),
-            );
-        }
-    }
-}
-
-/// Runs one reliability action sequence against a fresh world, returning
-/// all violations (panics become `NRMI-P006`, as in [`check_sequence`]).
-pub fn check_reliability_sequence(actions: &[ReliabilityAction]) -> Report {
-    let trace = actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = ReliableWorld::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                return (report, Some(i));
+            ReliabilityAction::MutateClient => self.ep.mutate(report),
+            ReliabilityAction::DropRequest => self.transport.inner_mut().drop_requests += 1,
+            ReliabilityAction::DropReply => self.transport.inner_mut().drop_replies += 1,
+            ReliabilityAction::DuplicateRequest => {
+                self.transport.inner_mut().duplicate_requests += 1;
             }
+            ReliabilityAction::Disconnect => self.transport.inner_mut().disconnects += 1,
         }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
-        }
+        check_heaps(
+            report,
+            &[("", &self.ep)],
+            &[("", &self.transport.inner().link.server.state.heap)],
+        );
+        // Under any drop/duplicate/disconnect schedule, the service body
+        // runs exactly once per completed call — never twice.
+        self.fixture
+            .check_executions(self.calls, "completed call(s)", report);
     }
 }
 
 // ---------------------------------------------------------------------------
-// The shared world: two connections against one lock-split server
+// The shared model: two connections against one lock-split server
 // ---------------------------------------------------------------------------
 
 /// One action in the two-connection shared-server model. Actions are
@@ -1134,326 +1113,111 @@ pub enum SharedAction {
     EvictB,
 }
 
-/// Every transition of the two-connection interleaving model.
-pub const SHARED_ALPHABET: [SharedAction; 6] = [
-    SharedAction::CallA,
-    SharedAction::CallB,
-    SharedAction::MutateA,
-    SharedAction::MutateB,
-    SharedAction::EvictA,
-    SharedAction::EvictB,
-];
+/// A connection of a lock-split server: the shared reply cache and
+/// bindings plus the connection's own node, as the pooled serve loop
+/// steps them.
+type PooledLink = Loopback<(Arc<SharedServer>, ServerNode)>;
 
-/// One modeled connection's server half: a per-connection node minted by
-/// [`SharedServer::connection_node`] and the connection's engine state,
-/// stepped with the *shared* reply cache and bindings exactly as
-/// `serve_connection_pooled` steps them. Implements [`Transport`] for
-/// the client the same way [`ServerSide`] does: `send` dispatches
-/// synchronously, `recv` drains the reply queue.
-struct SharedLink {
-    shared: Arc<nrmi_core::SharedServer>,
-    node: ServerNode,
-    conn: Connection,
-    replies: VecDeque<Frame>,
+/// Two connections interleaved on one [`SharedServer`] (shared bindings
+/// and sharded reply cache), each a real warm client behind a real
+/// [`ReliableTransport`], so every request crosses the shared reply
+/// cache.
+pub struct SharedModel {
+    fixture: Fixture,
+    eps: [Endpoint; 2],
+    transports: [ReliableTransport<PooledLink>; 2],
+    calls: usize,
 }
 
-impl Transport for SharedLink {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let host = Host::Pool(&self.shared, Some(&mut self.node));
-        let out = engine_step(&mut self.conn, host, frame);
-        self.replies.extend(out);
-        Ok(())
-    }
+impl Model for SharedModel {
+    type Action = SharedAction;
+    const NAME: &'static str = "shared";
+    const ALPHABET: &'static [SharedAction] = &[
+        SharedAction::CallA,
+        SharedAction::CallB,
+        SharedAction::MutateA,
+        SharedAction::MutateB,
+        SharedAction::EvictA,
+        SharedAction::EvictB,
+    ];
+    // 6^5 = 7,776 sequences.
+    const DEPTH: usize = 5;
 
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        self.replies.pop_front().ok_or(TransportError::Disconnected)
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-}
-
-/// One client endpoint of the shared world: the real warm client behind
-/// a real [`ReliableTransport`](nrmi_core::ReliableTransport) (so every
-/// request crosses the shared reply cache), plus its private oracle twin.
-struct SharedEndpoint {
-    client: ClientNode,
-    transport: nrmi_core::ReliableTransport<SharedLink>,
-    root: ObjId,
-    twin: Heap,
-    twin_root: ObjId,
-    completed_calls: usize,
-}
-
-/// Fresh two-connection world per enumerated sequence: one
-/// [`SharedServer`] (shared bindings + sharded reply cache), two
-/// per-connection endpoints, and a shared execution counter for the
-/// exactly-once audit.
-struct SharedWorld {
-    a: SharedEndpoint,
-    b: SharedEndpoint,
-    executions: Arc<std::sync::atomic::AtomicUsize>,
-}
-
-impl SharedWorld {
     fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let executions = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&executions);
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        server.bind(
-            SVC,
-            Box::new(FnService::new(move |_method, args, heap| {
-                let root = args[0]
-                    .as_ref_id()
-                    .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                service_logic(heap, root)
-            })),
-        );
-        let shared = Arc::new(nrmi_core::SharedServer::from_node(server));
-
-        let endpoint = |nonce_seed: u64| -> SharedEndpoint {
-            let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-            let root = build_tree(&mut client.state.heap, &registry);
-            let mut twin = Heap::new(registry.clone());
-            let twin_root = build_tree(&mut twin, &registry);
-            let link = SharedLink {
-                shared: Arc::clone(&shared),
-                node: shared.connection_node(),
-                conn: Connection::new(WarmCaches::new()),
-                replies: VecDeque::new(),
-            };
-            // Instant virtual time, as in the reliability model.
-            let policy = nrmi_core::RetryPolicy {
-                deadline: Duration::from_secs(30),
-                attempt_timeout: Duration::from_millis(1),
-                max_attempts: 16,
-                base_backoff: Duration::ZERO,
-                max_backoff: Duration::ZERO,
-                jitter: false,
-            };
-            SharedEndpoint {
-                client,
-                transport: nrmi_core::ReliableTransport::with_nonce(link, policy, nonce_seed),
-                root,
-                twin,
-                twin_root,
-                completed_calls: 0,
-            }
+        let fixture = Fixture::new();
+        let shared = Arc::new(SharedServer::from_node(fixture.server()));
+        // Distinct nonce streams, as two real connections would draw
+        // from `fresh_nonce`.
+        let transport = |nonce| {
+            let conn = Connection::new(WarmCaches::new());
+            let link = Loopback::new((Arc::clone(&shared), shared.connection_node()), conn);
+            Fixture::reliable(link, nonce)
         };
-
-        SharedWorld {
-            // Distinct nonce streams, as two real connections would draw
-            // from `fresh_nonce`.
-            a: endpoint(0xAAAA_1111),
-            b: endpoint(0xBBBB_2222),
-            executions,
+        SharedModel {
+            eps: [fixture.endpoint(1), fixture.endpoint(1)],
+            transports: [transport(0xAAAA_1111), transport(0xBBBB_2222)],
+            fixture,
+            calls: 0,
         }
     }
 
     fn step(&mut self, action: SharedAction, report: &mut Report) {
+        use SharedAction as S;
         match action {
-            SharedAction::CallA => Self::do_call(&mut self.a, "A", report),
-            SharedAction::CallB => Self::do_call(&mut self.b, "B", report),
-            SharedAction::MutateA => Self::do_mutate(&mut self.a, report),
-            SharedAction::MutateB => Self::do_mutate(&mut self.b, report),
-            SharedAction::EvictA => Self::do_evict(&mut self.a, "A", report),
-            SharedAction::EvictB => Self::do_evict(&mut self.b, "B", report),
-        }
-        // The concurrency invariant, checked after EVERY action: no
-        // endpoint ever observes a torn heap — both restored client
-        // graphs stay isomorphic to their private oracles no matter how
-        // the other connection's calls interleave (NRMI-P008), all four
-        // server/client heaps stay structurally valid, and the service
-        // ran exactly once per completed call across both connections.
-        self.check_isolation(report);
-        self.check_heaps(report);
-        self.check_exactly_once(report);
-    }
-
-    fn do_call(ep: &mut SharedEndpoint, who: &str, report: &mut Report) {
-        let warm = client_invoke_warm_with_stats(
-            &mut ep.client,
-            &mut ep.transport,
-            SVC,
-            METHOD,
-            &[Value::Ref(ep.root)],
-        );
-        let oracle = service_logic(&mut ep.twin, ep.twin_root);
-        ep.completed_calls += 1;
-        match (warm, oracle) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
+            S::CallA | S::CallB => {
+                let i = usize::from(action == S::CallB);
+                let ep = &mut self.eps[i];
+                let root = ep.tree.root;
+                let got = client_invoke_warm_with_stats(
+                    &mut ep.client,
+                    &mut self.transports[i],
+                    SVC,
+                    METHOD,
+                    &[Value::Ref(root)],
+                );
+                self.calls += 1;
+                let tree = ep.tree;
+                ep.judge(NAMES[i], tree, got, ("NRMI-P003", None), report);
+            }
+            S::MutateA => self.eps[0].mutate(report),
+            S::MutateB => self.eps[1].mutate(report),
+            S::EvictA | S::EvictB => {
+                let i = usize::from(action == S::EvictB);
+                let evicted =
+                    client_evict_warm(&mut self.eps[i].client, &mut self.transports[i], SVC);
+                if let Err(e) = evicted {
                     report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        format!(
-                            "connection {who}: warm call diverged from its oracle: \
-                             got {got:?}, want {want:?}"
-                        ),
+                        "NRMI-P004",
+                        format!("{}: eviction failed: {e}", NAMES[i]),
                     ));
                 }
             }
-            (Err(e), Ok(_)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("connection {who}: warm call failed where the oracle succeeded: {e}"),
-            )),
-            (_, Err(e)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
-            )),
         }
-    }
-
-    fn do_mutate(ep: &mut SharedEndpoint, report: &mut Report) {
-        for (heap, root) in [
-            (&mut ep.client.state.heap, ep.root),
-            (&mut ep.twin, ep.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let d = heap
-                    .get_field(root, "data")?
-                    .as_int()
-                    .ok_or_else(|| NrmiError::app("data is not an int"))?;
-                heap.set_field(root, "data", Value::Int(d.wrapping_add(10)))?;
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client mutation failed: {e}"),
-                ));
-            }
+        // Checked after EVERY action: no endpoint ever observes a torn
+        // heap — both restored client graphs stay isomorphic to their
+        // private oracles no matter how the other connection's calls
+        // interleave (P008) — every heap stays structurally valid, and
+        // the service ran exactly once per completed call across both
+        // connections.
+        for (i, ep) in self.eps.iter().enumerate() {
+            ep.check_graph(NAMES[i], ep.tree, "NRMI-P008", report);
         }
-    }
-
-    fn do_evict(ep: &mut SharedEndpoint, who: &str, report: &mut Report) {
-        if let Err(e) = client_evict_warm(&mut ep.client, &mut ep.transport, SVC) {
-            report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("connection {who}: eviction failed: {e}"),
-            ));
-        }
-    }
-
-    /// `NRMI-P008`: the lock-split server must keep each connection's
-    /// view atomic per call — after any interleaving, each client graph
-    /// equals what its own private oracle computed, untouched by the
-    /// other connection.
-    fn check_isolation(&mut self, report: &mut Report) {
-        for (who, ep) in [("A", &self.a), ("B", &self.b)] {
-            match graph::isomorphic(&ep.client.state.heap, ep.root, &ep.twin, ep.twin_root) {
-                Ok(true) => {}
-                Ok(false) => report.push(Diagnostic::error(
-                    "NRMI-P008",
-                    format!(
-                        "connection {who}: client graph diverged from its private oracle — \
-                         a reply observed state torn by the other connection"
-                    ),
-                )),
-                Err(e) => report.push(Diagnostic::error(
-                    "NRMI-P008",
-                    format!("connection {who}: isomorphism comparison failed: {e}"),
-                )),
-            }
-        }
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        for (label, code, heap) in [
-            ("client A", "NRMI-P001", &self.a.client.state.heap),
-            ("client B", "NRMI-P001", &self.b.client.state.heap),
-            (
-                "connection A",
-                "NRMI-P002",
-                &self.a.transport.inner().node.state.heap,
-            ),
-            (
-                "connection B",
-                "NRMI-P002",
-                &self.b.transport.inner().node.state.heap,
-            ),
-            ("oracle A", "NRMI-P001", &self.a.twin),
-            ("oracle B", "NRMI-P001", &self.b.twin),
-        ] {
-            for v in validate(heap) {
-                report.push(
-                    Diagnostic::error(code, format!("{label} heap corrupted: {v}"))
-                        .with("heap", label),
-                );
-            }
-        }
-    }
-
-    fn check_exactly_once(&mut self, report: &mut Report) {
-        let ran = self.executions.load(std::sync::atomic::Ordering::SeqCst);
-        let expected = self.a.completed_calls + self.b.completed_calls;
-        if ran != expected {
-            report.push(Diagnostic::error(
-                "NRMI-P007",
-                format!(
-                    "shared reply cache broke exactly-once across connections: \
-                     {ran} execution(s) for {expected} completed call(s)"
-                ),
-            ));
-        }
-    }
-}
-
-/// Runs one two-connection action sequence against a fresh shared world,
-/// returning all violations (panics become `NRMI-P006`).
-pub fn check_shared_sequence(actions: &[SharedAction]) -> Report {
-    let trace = actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = SharedWorld::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                return (report, Some(i));
-            }
-        }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
-        }
+        let [a, b] = &self.transports;
+        check_heaps(
+            report,
+            &[("A", &self.eps[0]), ("B", &self.eps[1])],
+            &[
+                ("A", &a.inner().server.1.state.heap),
+                ("B", &b.inner().server.1.state.heap),
+            ],
+        );
+        self.fixture
+            .check_executions(self.calls, "completed call(s) across connections", report);
     }
 }
 
 // ---------------------------------------------------------------------------
-// The shared-graph world: two warm clients leased onto one server heap
+// The shared-graph model: two warm clients leased onto one server heap
 // ---------------------------------------------------------------------------
 
 /// One action in the two-client shared-graph model (`NRMI-P011`). Unlike
@@ -1463,11 +1227,11 @@ pub fn check_shared_sequence(actions: &[SharedAction]) -> Report {
 /// [`ServerNode`] heap, their [`WarmCaches`] built with
 /// [`WarmCaches::with_leases`] on the node's lease table exactly as a
 /// node serving several connections builds them (the big-lock baseline
-/// in `nrmi-bench`), and every call writes the
-/// *other* endpoint's server-side root out-of-band. Each step drives the
-/// real coherence machinery: version-vector staleness classification,
-/// `CacheStale` repair patches, the client-wins positional merge, and
-/// lease-guarded eviction.
+/// in `nrmi-bench`), and every call writes the *other* endpoint's
+/// server-side root out-of-band. Each step drives the real coherence
+/// machinery: version-vector staleness classification, `CacheStale`
+/// repair patches, the client-wins positional merge, and lease-guarded
+/// eviction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SharedGraphAction {
     /// A warm call on endpoint A; its service body pokes B's registered
@@ -1484,24 +1248,20 @@ pub enum SharedGraphAction {
     EvictA,
     /// Orderly client-driven eviction of B's warm session.
     EvictB,
-    /// Tear down A's server-side connection state ([`Connection::close`],
-    /// then a fresh connection), as a serve loop does when a client
-    /// vanishes.
-    /// B's leased session must survive with every synchronized object
-    /// still alive; A reconnects through the `CacheMiss` reseed path.
+    /// Tear down A's server-side connection state, as a serve loop does
+    /// when a client vanishes ([`Loopback::close`]). B's leased session
+    /// must survive with every synchronized object still alive; A
+    /// reconnects through the `CacheMiss` reseed path.
     DropA,
 }
 
-/// Every transition of the two-client shared-graph coherence model.
-pub const SHARED_GRAPH_ALPHABET: [SharedGraphAction; 7] = [
-    SharedGraphAction::CallA,
-    SharedGraphAction::CallB,
-    SharedGraphAction::MutateA,
-    SharedGraphAction::MutateB,
-    SharedGraphAction::EvictA,
-    SharedGraphAction::EvictB,
-    SharedGraphAction::DropA,
-];
+/// The services of the shared-graph endpoints; each body knows its
+/// endpoint's name and pokes every OTHER registered root.
+const SG_SERVICES: [&str; 2] = ["svc.a", "svc.b"];
+
+/// How much a service call perturbs the OTHER endpoint's root `data` —
+/// distinctive so a stale read stands out from the ×3+1 service values.
+const SG_POKE: i32 = 100;
 
 /// Name → server-side root of each endpoint's *live* session graph, as
 /// the services see it. The MODEL maintains hygiene — entries leave at
@@ -1509,92 +1269,46 @@ pub const SHARED_GRAPH_ALPHABET: [SharedGraphAction; 7] = [
 /// another session's graph, and poking a recycled id would be a checker
 /// artifact, not a middleware bug (real out-of-band writers reach the
 /// shared graph through live references, not saved ids).
-type SgRegistry = Arc<Mutex<Vec<(&'static str, ObjId)>>>;
+type SgRoots = Arc<Mutex<Vec<(&'static str, ObjId)>>>;
 
-/// One endpoint's connection half: the shared [`ServerNode`] behind a
-/// mutex (the model is sequential; the lock only shares ownership), this
-/// connection's engine state with its own lease-registered
-/// [`WarmCaches`], and a reply queue. `send` dispatches synchronously
-/// like [`ServerSide`].
-struct SgLink {
-    server: Arc<Mutex<ServerNode>>,
-    conn: Connection,
-    replies: VecDeque<Frame>,
-}
-
-impl Transport for SgLink {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let mut server = self.server.lock().expect("poisoned");
-        let out = engine_step(&mut self.conn, Host::Node(&mut server), frame);
-        drop(server);
-        self.replies.extend(out);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        self.replies.pop_front().ok_or(TransportError::Disconnected)
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-}
-
-/// One client endpoint of the shared-graph world: the real warm client,
-/// its connection link, and a private oracle twin with the
-/// visible-pokes bookkeeping of the single-client [`World`].
-struct SgEndpoint {
-    /// The service this endpoint calls; its body knows the endpoint's
-    /// name and pokes every OTHER registered root.
-    svc: &'static str,
-    name: &'static str,
-    client: ClientNode,
-    link: SgLink,
-    root: ObjId,
-    twin: Heap,
-    twin_root: ObjId,
-    /// True if this endpoint wrote its root since its last call: its
-    /// next request delta carries the position, so the positional merge
-    /// lets the client win and the peer's poke is erased (the twin must
-    /// NOT adopt it).
-    wrote_root: bool,
-}
-
-/// Fresh two-client shared-graph world per enumerated sequence: one
-/// server heap, one lease table, two leased connections, one root
+/// Two warm clients leased onto one server heap: one node, one lease
+/// table, two connections with their own warm sessions, and the root
 /// registry the services poke through.
-struct SharedGraphWorld {
-    server: Arc<Mutex<ServerNode>>,
-    registry: SgRegistry,
-    a: SgEndpoint,
-    b: SgEndpoint,
+pub struct SharedGraphModel {
+    roots: SgRoots,
+    eps: [Endpoint; 2],
+    links: [Loopback<Arc<Mutex<ServerNode>>>; 2],
+    /// Whether each endpoint wrote its root since its last call: its
+    /// next request delta carries the position, so the positional merge
+    /// lets the client win and the peer's poke is erased.
+    wrote_root: [bool; 2],
 }
 
-/// How much a service call perturbs the OTHER endpoint's root `data` —
-/// distinctive so a stale read stands out from the ×3+1 service values.
-const SG_POKE: i32 = 100;
+impl Model for SharedGraphModel {
+    type Action = SharedGraphAction;
+    const NAME: &'static str = "shared-graph";
+    const ALPHABET: &'static [SharedGraphAction] = &[
+        SharedGraphAction::CallA,
+        SharedGraphAction::CallB,
+        SharedGraphAction::MutateA,
+        SharedGraphAction::MutateB,
+        SharedGraphAction::EvictA,
+        SharedGraphAction::EvictB,
+        SharedGraphAction::DropA,
+    ];
+    // 7^4 = 2,401 sequences.
+    const DEPTH: usize = 4;
 
-impl SharedGraphWorld {
     fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let roots: SgRegistry = Arc::new(Mutex::new(Vec::new()));
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        for (svc, name) in [("svc.a", "A"), ("svc.b", "B")] {
+        let fixture = Fixture::new();
+        let roots: SgRoots = Arc::new(Mutex::new(Vec::new()));
+        let mut server = ServerNode::new(fixture.registry.clone(), MachineSpec::fast());
+        for (svc, name) in SG_SERVICES.into_iter().zip(NAMES) {
             let roots = Arc::clone(&roots);
             server.bind(
                 svc,
                 Box::new(FnService::new(move |_method, args, heap| {
-                    let root = args[0]
-                        .as_ref_id()
-                        .ok_or_else(|| NrmiError::app("want a root reference"))?;
+                    let root = root_arg(args)?;
                     let mut reg = roots.lock().expect("poisoned");
                     // (Re-)register this endpoint's live root — a reseed
                     // materializes the graph at fresh ids.
@@ -1606,11 +1320,8 @@ impl SharedGraphWorld {
                     // root. From the peer session's point of view this
                     // is exactly the coherence hazard — its server-side
                     // graph changed underneath its warm cache.
-                    for &(other, id) in reg.iter().filter(|(n, _)| *n != name) {
-                        let d = heap
-                            .get_field(id, "data")?
-                            .as_int()
-                            .ok_or_else(|| NrmiError::app(format!("{other}: data not int")))?;
+                    for &(_, id) in reg.iter().filter(|(n, _)| *n != name) {
+                        let d = int_data(heap, id)?;
                         heap.set_field(id, "data", Value::Int(d.wrapping_add(SG_POKE)))?;
                     }
                     drop(reg);
@@ -1620,220 +1331,115 @@ impl SharedGraphWorld {
         }
         let leases = Arc::clone(&server.leases);
         let server = Arc::new(Mutex::new(server));
-
-        let endpoint = |svc: &'static str, name: &'static str| -> SgEndpoint {
-            let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-            let root = build_tree(&mut client.state.heap, &registry);
-            let mut twin = Heap::new(registry.clone());
-            let twin_root = build_tree(&mut twin, &registry);
-            SgEndpoint {
-                svc,
-                name,
-                client,
-                link: SgLink {
-                    server: Arc::clone(&server),
-                    conn: Connection::new(WarmCaches::with_leases(Arc::clone(&leases))),
-                    replies: VecDeque::new(),
-                },
-                root,
-                twin,
-                twin_root,
-                wrote_root: false,
-            }
+        let link = || {
+            let conn = Connection::new(WarmCaches::with_leases(Arc::clone(&leases)));
+            Loopback::new(Arc::clone(&server), conn)
         };
-
-        SharedGraphWorld {
-            a: endpoint("svc.a", "A"),
-            b: endpoint("svc.b", "B"),
-            server,
-            registry: roots,
+        SharedGraphModel {
+            roots,
+            eps: [fixture.endpoint(1), fixture.endpoint(1)],
+            links: [link(), link()],
+            wrote_root: [false; 2],
         }
     }
 
     fn step(&mut self, action: SharedGraphAction, report: &mut Report) {
+        use SharedGraphAction as G;
         match action {
-            SharedGraphAction::CallA => self.do_call(true, report),
-            SharedGraphAction::CallB => self.do_call(false, report),
-            SharedGraphAction::MutateA => Self::do_mutate(&mut self.a, report),
-            SharedGraphAction::MutateB => Self::do_mutate(&mut self.b, report),
-            SharedGraphAction::EvictA => self.do_evict(true, report),
-            SharedGraphAction::EvictB => self.do_evict(false, report),
-            SharedGraphAction::DropA => self.do_drop_a(report),
-        }
-        // Checked after EVERY action: neither client ever reads stale
-        // state or loses a write (graph ≡ its private oracle), every
-        // live session's leased objects are still alive, and all heaps
-        // stay structurally valid.
-        self.check_coherence(report);
-        self.check_lease_liveness(report);
-        self.check_heaps(report);
-    }
-
-    /// The oracle's visibility rule, as in the single-client [`World`]:
-    /// a peer's poke becomes visible to this endpoint's next call iff
-    /// its warm session is live in generation lockstep (the repair path
-    /// reaches it) AND it has not written the root itself since its last
-    /// call (else its delta wins positionally and the poke is erased).
-    /// When visible, the twin adopts the server root's current data.
-    fn sync_twin_with_visible_pokes(&mut self, a_side: bool) {
-        let ep = if a_side { &mut self.a } else { &mut self.b };
-        if ep.wrote_root {
-            return;
-        }
-        let (Some(cache_id), Some(client_gen)) = (
-            ep.client.warm.cache_id(ep.svc),
-            ep.client.warm.generation(ep.svc),
-        ) else {
-            return;
-        };
-        if ep.link.conn.warm().generation_of(cache_id) != Some(client_gen) {
-            return;
-        }
-        let Some(server_root) = self
-            .registry
-            .lock()
-            .expect("poisoned")
-            .iter()
-            .find(|(n, _)| *n == ep.name)
-            .map(|&(_, id)| id)
-        else {
-            return;
-        };
-        let mut server = self.server.lock().expect("poisoned");
-        if let Ok(Value::Int(d)) = server.state.heap.get_field(server_root, "data") {
-            let _ = ep.twin.set_field(ep.twin_root, "data", Value::Int(d));
-        }
-    }
-
-    fn do_call(&mut self, a_side: bool, report: &mut Report) {
-        self.sync_twin_with_visible_pokes(a_side);
-        let ep = if a_side { &mut self.a } else { &mut self.b };
-        ep.wrote_root = false;
-        let warm = client_invoke_warm_with_stats(
-            &mut ep.client,
-            &mut ep.link,
-            ep.svc,
-            METHOD,
-            &[Value::Ref(ep.root)],
-        );
-        let oracle = service_logic(&mut ep.twin, ep.twin_root);
-        let who = ep.name;
-        match (warm, oracle) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
+            G::CallA => self.call(0, report),
+            G::CallB => self.call(1, report),
+            G::MutateA | G::MutateB => {
+                let i = usize::from(action == G::MutateB);
+                self.eps[i].mutate(report);
+                self.wrote_root[i] = true;
+            }
+            G::EvictA | G::EvictB => {
+                let i = usize::from(action == G::EvictB);
+                // The session graph is leaving the server (or leaking, if
+                // a peer's poke made it incoherent); either way its root
+                // id stops being a live out-of-band target.
+                self.forget_root(i);
+                let evicted =
+                    client_evict_warm(&mut self.eps[i].client, &mut self.links[i], SG_SERVICES[i]);
+                if let Err(e) = evicted {
                     report.push(Diagnostic::error(
-                        "NRMI-P003",
-                        format!(
-                            "endpoint {who}: warm call diverged from its oracle: \
-                             got {got:?}, want {want:?}"
-                        ),
+                        "NRMI-P004",
+                        format!("endpoint {}: eviction failed: {e}", NAMES[i]),
                     ));
                 }
             }
-            (Err(e), Ok(_)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("endpoint {who}: warm call failed where the oracle succeeded: {e}"),
-            )),
-            (_, Err(e)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
-            )),
-        }
-    }
-
-    fn do_mutate(ep: &mut SgEndpoint, report: &mut Report) {
-        for (heap, root) in [
-            (&mut ep.client.state.heap, ep.root),
-            (&mut ep.twin, ep.twin_root),
-        ] {
-            let r = (|| -> Result<(), NrmiError> {
-                let d = heap
-                    .get_field(root, "data")?
-                    .as_int()
-                    .ok_or_else(|| NrmiError::app("data is not an int"))?;
-                heap.set_field(root, "data", Value::Int(d.wrapping_add(10)))?;
-                Ok(())
-            })();
-            if let Err(e) = r {
-                report.push(Diagnostic::error(
-                    "NRMI-P001",
-                    format!("client mutation failed: {e}"),
-                ));
+            G::DropA => {
+                // A's client keeps its (now dangling) warm session and
+                // must recover through `CacheMiss`; B's leased session
+                // must be untouched.
+                self.forget_root(0);
+                self.links[0].close();
             }
         }
-        ep.wrote_root = true;
+        // Checked after EVERY action: neither client ever reads stale
+        // state or loses a write (graph ≡ its private oracle), every live
+        // session's leased objects are still alive, and all heaps stay
+        // structurally valid.
+        for (i, ep) in self.eps.iter().enumerate() {
+            ep.check_graph(NAMES[i], ep.tree, "NRMI-P011", report);
+        }
+        self.check_lease_liveness(report);
+        let server = self.links[0].server.lock().expect("poisoned");
+        check_heaps(
+            report,
+            &[("A", &self.eps[0]), ("B", &self.eps[1])],
+            &[("", &server.state.heap)],
+        );
     }
+}
 
-    fn do_evict(&mut self, a_side: bool, report: &mut Report) {
-        let ep = if a_side { &mut self.a } else { &mut self.b };
-        // The session graph is leaving the server (or leaking, if a
-        // peer's poke made it incoherent); either way its root id stops
-        // being a live out-of-band target.
-        self.registry
+impl SharedGraphModel {
+    fn call(&mut self, i: usize, report: &mut Report) {
+        let server_root = self
+            .roots
             .lock()
             .expect("poisoned")
-            .retain(|(n, _)| *n != ep.name);
-        if let Err(e) = client_evict_warm(&mut ep.client, &mut ep.link, ep.svc) {
-            report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("endpoint {}: eviction failed: {e}", ep.name),
-            ));
-        }
+            .iter()
+            .find(|(n, _)| *n == NAMES[i])
+            .map(|&(_, id)| id);
+        let (ep, link) = (&mut self.eps[i], &mut self.links[i]);
+        ep.adopt_visible_write(
+            SG_SERVICES[i],
+            self.wrote_root[i],
+            &link.conn,
+            &mut link.server.lock().expect("poisoned").state.heap,
+            server_root,
+        );
+        self.wrote_root[i] = false;
+        let root = ep.tree.root;
+        let got = client_invoke_warm_with_stats(
+            &mut ep.client,
+            link,
+            SG_SERVICES[i],
+            METHOD,
+            &[Value::Ref(root)],
+        );
+        let tree = ep.tree;
+        ep.judge(NAMES[i], tree, got, ("NRMI-P003", None), report);
     }
 
-    /// Connection teardown for A, exactly as the serve loops run it:
-    /// [`Connection::close`] on THIS connection, then the connection
-    /// state is gone. A's client keeps its (now dangling)
-    /// warm session and must recover through `CacheMiss`; B's leased
-    /// session must be untouched.
-    fn do_drop_a(&mut self, _report: &mut Report) {
-        self.registry
+    fn forget_root(&mut self, i: usize) {
+        self.roots
             .lock()
             .expect("poisoned")
-            .retain(|(n, _)| *n != self.a.name);
-        {
-            let mut server = self.server.lock().expect("poisoned");
-            self.a.link.conn.close(&mut server.state.heap);
-            let leases = Arc::clone(&server.leases);
-            self.a.link.conn = Connection::new(WarmCaches::with_leases(leases));
-        }
-        self.a.link.replies.clear();
-    }
-
-    /// `NRMI-P011` (stale read / lost write): after any interleaving,
-    /// each client graph equals its private oracle under the
-    /// visible-pokes rule — a divergence means a repair patch clobbered
-    /// an unshipped client write, or a call read the shared graph stale.
-    fn check_coherence(&mut self, report: &mut Report) {
-        for ep in [&self.a, &self.b] {
-            match graph::isomorphic(&ep.client.state.heap, ep.root, &ep.twin, ep.twin_root) {
-                Ok(true) => {}
-                Ok(false) => report.push(Diagnostic::error(
-                    "NRMI-P011",
-                    format!(
-                        "endpoint {}: client graph diverged from its oracle — \
-                         a stale read or a clobbered local write on the shared graph",
-                        ep.name
-                    ),
-                )),
-                Err(e) => report.push(Diagnostic::error(
-                    "NRMI-P011",
-                    format!("endpoint {}: isomorphism comparison failed: {e}", ep.name),
-                )),
-            }
-        }
+            .retain(|(n, _)| *n != NAMES[i]);
     }
 
     /// `NRMI-P011` (lease safety): every object a live warm session
     /// synchronizes is still alive on the shared heap — no teardown or
     /// eviction by the OTHER connection freed it out from under us.
-    fn check_lease_liveness(&mut self, report: &mut Report) {
-        let server = self.server.lock().expect("poisoned");
-        for ep in [&self.a, &self.b] {
-            let Some(cache_id) = ep.client.warm.cache_id(ep.svc) else {
+    fn check_lease_liveness(&self, report: &mut Report) {
+        let server = self.links[0].server.lock().expect("poisoned");
+        for (i, (ep, link)) in self.eps.iter().zip(&self.links).enumerate() {
+            let Some(cache_id) = ep.client.warm.cache_id(SG_SERVICES[i]) else {
                 continue;
             };
-            let Some(sync) = ep.link.conn.warm().sync_ids_of(cache_id) else {
+            let Some(sync) = link.conn.warm().sync_ids_of(cache_id) else {
                 continue;
             };
             for &id in sync {
@@ -1843,88 +1449,26 @@ impl SharedGraphWorld {
                         format!(
                             "endpoint {}: leased object {id:?} of live session \
                              {cache_id} was freed by another connection",
-                            ep.name
+                            NAMES[i]
                         ),
                     ));
                 }
             }
         }
     }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        let server = self.server.lock().expect("poisoned");
-        for (label, code, heap) in [
-            ("client A", "NRMI-P001", &self.a.client.state.heap),
-            ("client B", "NRMI-P001", &self.b.client.state.heap),
-            ("shared server", "NRMI-P002", &server.state.heap),
-            ("oracle A", "NRMI-P001", &self.a.twin),
-            ("oracle B", "NRMI-P001", &self.b.twin),
-        ] {
-            for v in validate(heap) {
-                report.push(
-                    Diagnostic::error(code, format!("{label} heap corrupted: {v}"))
-                        .with("heap", label),
-                );
-            }
-        }
-    }
-}
-
-/// Runs one two-client shared-graph action sequence against a fresh
-/// world, returning all violations (panics become `NRMI-P006`).
-pub fn check_shared_graph_sequence(actions: &[SharedGraphAction]) -> Report {
-    let trace = actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = SharedGraphWorld::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                return (report, Some(i));
-            }
-        }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// The pipelined world: two calls in flight on one multiplexed link
+// The pipelined model: two calls in flight on one multiplexed link
 // ---------------------------------------------------------------------------
 
 /// One action in the pipelined single-connection model: two call slots
 /// (A and B, each owning a private graph) share one
-/// [`ReliableTransport`](nrmi_core::ReliableTransport), and both may be
-/// in flight at once through the split-phase client API
-/// ([`client_marshal_call`] + `send_call`, collected later with
-/// `recv_reply` + [`client_apply_reply`]). The adversary reorders and
-/// drops queued replies; the request map must still route every reply to
-/// the call that issued it.
+/// [`ReliableTransport`], and both may be in flight at once through the
+/// split-phase client API ([`client_marshal_call`] + `send_call`,
+/// collected later with `recv_reply` + [`client_apply_reply`]). The
+/// adversary reorders and drops queued replies; the request map must
+/// still route every reply to the call that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PipelinedAction {
     /// Issue a copy-restore call on slot A without collecting it (a
@@ -1946,360 +1490,146 @@ pub enum PipelinedAction {
     CollectB,
 }
 
-/// Every transition of the pipelined reply-routing state machine.
-pub const PIPELINED_ALPHABET: [PipelinedAction; 6] = [
-    PipelinedAction::IssueA,
-    PipelinedAction::IssueB,
-    PipelinedAction::SwapReplies,
-    PipelinedAction::DropReply,
-    PipelinedAction::CollectA,
-    PipelinedAction::CollectB,
-];
-
-/// The reorderable link: synchronous dispatch as in [`ServerSide`], but
-/// an empty queue is a [`TransportError::Timeout`] (the retry loop's
-/// concern, not a deadlock), and the checker permutes or drops queued
-/// replies between actions.
-struct PipeLink(Arc<Mutex<ServerSide>>);
-
-impl Transport for PipeLink {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let mut side = self.0.lock().expect("poisoned");
-        let out = side.dispatch(frame);
-        side.replies.extend(out);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        self.0
-            .lock()
-            .expect("poisoned")
-            .replies
-            .pop_front()
-            .ok_or(TransportError::Timeout)
-    }
-
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-}
-
-/// One call slot of the pipelined world: a private three-node tree, its
-/// oracle twin root, and the in-flight state of its current call.
-struct PipeSlot {
-    root: ObjId,
-    twin_root: ObjId,
+/// One call slot: a private tree and the in-flight state of its call.
+struct Slot {
+    tree: Tree,
     pending: Option<(u64, PendingCall)>,
     consumed_seq: Option<u64>,
 }
 
-/// Fresh world per pipelined sequence: one client with two disjoint
-/// graphs, the real request-map client over a reorderable link, the real
-/// server + reply cache, and a per-slot oracle twin. Each slot's values
-/// depend on its own history (`data` starts 100 vs 200 and evolves as
-/// `3d+1`), so a reply routed to the wrong call is observable both in
-/// the returned sum and in the restored graph.
-struct PipelinedWorld {
-    client: ClientNode,
-    transport: nrmi_core::ReliableTransport<PipeLink>,
-    side: Arc<Mutex<ServerSide>>,
-    twin: Heap,
-    slots: [PipeSlot; 2],
-    executions: Arc<std::sync::atomic::AtomicUsize>,
+/// One client with two disjoint trees, the real request-map client over
+/// the checker's lossy link, the real server and reply cache, and a
+/// per-slot oracle tree. Each slot's values depend on its own history
+/// (`data` starts 100 vs 200 and evolves as `3d+1`), so a reply routed
+/// to the wrong call is observable both in the returned sum and in the
+/// restored graph.
+pub struct PipelinedModel {
+    fixture: Fixture,
+    ep: Endpoint,
+    transport: ReliableTransport<Lossy>,
+    slots: [Slot; 2],
     issued: usize,
 }
 
-impl PipelinedWorld {
+impl Model for PipelinedModel {
+    type Action = PipelinedAction;
+    const NAME: &'static str = "pipelined";
+    const ALPHABET: &'static [PipelinedAction] = &[
+        PipelinedAction::IssueA,
+        PipelinedAction::IssueB,
+        PipelinedAction::SwapReplies,
+        PipelinedAction::DropReply,
+        PipelinedAction::CollectA,
+        PipelinedAction::CollectB,
+    ];
+    // 6^4 = 1,296 sequences.
+    const DEPTH: usize = 4;
+
     fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        let executions = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&executions);
-        server.bind(
-            SVC,
-            Box::new(FnService::new(move |_method, args, heap| {
-                let root = args[0]
-                    .as_ref_id()
-                    .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                service_logic(heap, root)
-            })),
-        );
-
-        let mut twin = Heap::new(registry.clone());
-        let slot = |client: &mut ClientNode, twin: &mut Heap, seed: i32| -> PipeSlot {
-            let root = build_tree(&mut client.state.heap, &registry);
-            let twin_root = build_tree(twin, &registry);
-            client
-                .state
-                .heap
-                .set_field(root, "data", Value::Int(seed))
-                .expect("seed slot");
-            twin.set_field(twin_root, "data", Value::Int(seed))
-                .expect("seed twin");
-            PipeSlot {
-                root,
-                twin_root,
-                pending: None,
-                consumed_seq: None,
-            }
+        let fixture = Fixture::new();
+        let mut ep = fixture.endpoint(100);
+        let slot = |tree| Slot {
+            tree,
+            pending: None,
+            consumed_seq: None,
         };
-        let slot_a = slot(&mut client, &mut twin, 100);
-        let slot_b = slot(&mut client, &mut twin, 200);
-
-        let side = Arc::new(Mutex::new(ServerSide::new(server)));
-        // Instant virtual time, as in the reliability model: retries are
-        // bounded by attempts, not wall clock.
-        let policy = nrmi_core::RetryPolicy {
-            deadline: Duration::from_secs(30),
-            attempt_timeout: Duration::from_millis(1),
-            max_attempts: 16,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            jitter: false,
-        };
-        let transport =
-            nrmi_core::ReliableTransport::with_nonce(PipeLink(Arc::clone(&side)), policy, 0xF1F0);
-
-        PipelinedWorld {
-            client,
-            transport,
-            side,
-            twin,
-            slots: [slot_a, slot_b],
-            executions,
+        let slots = [slot(ep.tree), slot(ep.plant(200))];
+        PipelinedModel {
+            transport: Fixture::reliable(Lossy::new(fixture.server()), 0xF1F0),
+            fixture,
+            ep,
+            slots,
             issued: 0,
         }
     }
 
     fn step(&mut self, action: PipelinedAction, report: &mut Report) {
+        use PipelinedAction as P;
         match action {
-            PipelinedAction::IssueA => self.do_issue(0, "A", report),
-            PipelinedAction::IssueB => self.do_issue(1, "B", report),
-            PipelinedAction::SwapReplies => {
-                let mut side = self.side.lock().expect("poisoned");
-                if side.replies.len() >= 2 {
-                    side.replies.swap(0, 1);
-                }
-            }
-            PipelinedAction::DropReply => {
-                self.side.lock().expect("poisoned").replies.pop_front();
-            }
-            PipelinedAction::CollectA => self.do_collect(0, "A", report),
-            PipelinedAction::CollectB => self.do_collect(1, "B", report),
+            P::IssueA => self.issue(0, report),
+            P::IssueB => self.issue(1, report),
+            P::SwapReplies => self.transport.inner_mut().swap_oldest(),
+            P::DropReply => self.transport.inner_mut().drop_oldest(),
+            P::CollectA => self.collect(0, report),
+            P::CollectB => self.collect(1, report),
         }
-        self.check_heaps(report);
-        self.check_exactly_once(report);
+        check_heaps(
+            report,
+            &[("", &self.ep)],
+            &[("", &self.transport.inner().link.server.state.heap)],
+        );
+        // Every issued call executes exactly once, at dispatch; replays
+        // (after a dropped reply's retransmission) never re-execute.
+        self.fixture
+            .check_executions(self.issued, "issued pipelined call(s)", report);
     }
+}
 
-    fn do_issue(&mut self, which: usize, who: &str, report: &mut Report) {
-        if self.slots[which].pending.is_some() {
+impl PipelinedModel {
+    fn issue(&mut self, i: usize, report: &mut Report) {
+        let who = format!("slot {}", NAMES[i]);
+        let slot = &mut self.slots[i];
+        if slot.pending.is_some() {
             return;
         }
-        let root = self.slots[which].root;
-        let marshalled = client_marshal_call(
-            &mut self.client,
-            SVC,
-            METHOD,
-            &[Value::Ref(root)],
-            CallOptions::forced(PassMode::CopyRestore),
-        );
-        let (frame, pending) = match marshalled {
-            Ok(split) => split,
-            Err(e) => {
-                report.push(Diagnostic::error(
-                    "NRMI-P004",
-                    format!("slot {who}: marshal failed: {e}"),
-                ));
-                return;
-            }
+        let Some((frame, pending)) = self.ep.marshal(&who, slot.tree, report) else {
+            return;
         };
         match self.transport.send_call(&frame) {
             Ok(Some(seq)) => {
                 self.issued += 1;
-                self.slots[which].pending = Some((seq, pending));
+                slot.pending = Some((seq, pending));
             }
             Ok(None) => report.push(Diagnostic::error(
                 "NRMI-P009",
-                format!("slot {who}: call frame passed through untagged — its reply can never be demultiplexed"),
+                format!(
+                    "{who}: call frame passed through untagged — its reply can never be \
+                     demultiplexed"
+                ),
             )),
             Err(e) => report.push(Diagnostic::error(
                 "NRMI-P004",
-                format!("slot {who}: pipelined issue failed: {e}"),
+                format!("{who}: pipelined issue failed: {e}"),
             )),
         }
     }
 
-    fn do_collect(&mut self, which: usize, who: &str, report: &mut Report) {
-        let Some((seq, pending)) = self.slots[which].pending.take() else {
+    fn collect(&mut self, i: usize, report: &mut Report) {
+        let who = format!("slot {}", NAMES[i]);
+        let slot = &mut self.slots[i];
+        let Some((seq, pending)) = slot.pending.take() else {
             // Nothing in flight: collecting the already-consumed call id
-            // must yield the typed error. (The `expect()` this replaced
-            // panicked here; a ghost reply would mean a neighbor's reply
-            // leaked out of the request map.)
-            if let Some(stale) = self.slots[which].consumed_seq {
+            // must yield the typed error; a ghost reply would mean a
+            // neighbor's reply leaked out of the request map.
+            if let Some(stale) = slot.consumed_seq {
                 match self.transport.recv_reply(stale) {
                     Err(TransportError::NoPendingCall { .. }) => {}
-                    Ok(frame) => report.push(Diagnostic::error(
+                    other => report.push(Diagnostic::error(
                         "NRMI-P009",
                         format!(
-                            "slot {who}: consumed call {stale} produced a ghost reply {frame:?}"
-                        ),
-                    )),
-                    Err(e) => report.push(Diagnostic::error(
-                        "NRMI-P009",
-                        format!(
-                            "slot {who}: collecting consumed call {stale}: expected the typed \
-                             NoPendingCall error, got {e}"
+                            "{who}: collecting consumed call {stale} must yield the typed \
+                             NoPendingCall error, got {other:?}"
                         ),
                     )),
                 }
             }
             return;
         };
-        let reply = self.transport.recv_reply(seq);
-        self.slots[which].consumed_seq = Some(seq);
-        let payload = match reply {
-            Ok(Frame::CallReply { payload }) => payload,
-            Ok(other) => {
-                report.push(Diagnostic::error(
-                    "NRMI-P009",
-                    format!("slot {who}: call {seq} answered with {other:?}"),
-                ));
-                return;
+        slot.consumed_seq = Some(seq);
+        match self.transport.recv_reply(seq) {
+            Ok(Frame::CallReply { payload }) => {
+                let got = client_apply_reply(&mut self.ep.client, pending, &payload);
+                let codes = ("NRMI-P009", Some("NRMI-P008"));
+                self.ep.judge(&who, slot.tree, got, codes, report);
             }
-            Err(e) => {
-                report.push(Diagnostic::error(
-                    "NRMI-P004",
-                    format!("slot {who}: collect of call {seq} failed: {e}"),
-                ));
-                return;
-            }
-        };
-        let twin_root = self.slots[which].twin_root;
-        let got = client_apply_reply(&mut self.client, pending, &payload);
-        let want = service_logic(&mut self.twin, twin_root);
-        match (got, want) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
-                    report.push(Diagnostic::error(
-                        "NRMI-P009",
-                        format!(
-                            "slot {who}: reply routed to the wrong call: got {got:?}, \
-                             want {want:?}"
-                        ),
-                    ));
-                }
-                match graph::isomorphic(
-                    &self.client.state.heap,
-                    self.slots[which].root,
-                    &self.twin,
-                    twin_root,
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => report.push(Diagnostic::error(
-                        "NRMI-P008",
-                        format!(
-                            "slot {who}: restored graph diverged from its oracle — a \
-                             neighboring in-flight call tore the restore"
-                        ),
-                    )),
-                    Err(e) => report.push(Diagnostic::error(
-                        "NRMI-P008",
-                        format!("slot {who}: isomorphism comparison failed: {e}"),
-                    )),
-                }
-            }
-            (Err(e), _) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("slot {who}: restore failed: {e}"),
+            Ok(other) => report.push(Diagnostic::error(
+                "NRMI-P009",
+                format!("{who}: call {seq} answered with {other:?}"),
             )),
-            (_, Err(e)) => report.push(Diagnostic::error(
+            Err(e) => report.push(Diagnostic::error(
                 "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
+                format!("{who}: collect of call {seq} failed: {e}"),
             )),
-        }
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        let side = self.side.lock().expect("poisoned");
-        for (label, code, heap) in [
-            ("client", "NRMI-P001", &self.client.state.heap),
-            ("server", "NRMI-P002", &side.server.state.heap),
-            ("oracle", "NRMI-P001", &self.twin),
-        ] {
-            for v in validate(heap) {
-                report.push(
-                    Diagnostic::error(code, format!("{label} heap corrupted: {v}"))
-                        .with("heap", label),
-                );
-            }
-        }
-    }
-
-    /// Every issued call executes exactly once, at dispatch; replays
-    /// (after a dropped reply's retransmission) never re-execute.
-    fn check_exactly_once(&mut self, report: &mut Report) {
-        let ran = self.executions.load(std::sync::atomic::Ordering::SeqCst);
-        if ran != self.issued {
-            report.push(Diagnostic::error(
-                "NRMI-P007",
-                format!(
-                    "pipelined at-most-once broken: {ran} execution(s) for {} issued call(s)",
-                    self.issued
-                ),
-            ));
-        }
-    }
-}
-
-/// Runs one pipelined action sequence against a fresh world, returning
-/// all violations (panics become `NRMI-P006`).
-pub fn check_pipelined_sequence(actions: &[PipelinedAction]) -> Report {
-    let trace = actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = PipelinedWorld::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                return (report, Some(i));
-            }
-        }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
         }
     }
 }
@@ -2317,9 +1647,9 @@ pub fn check_pipelined_sequence(actions: &[PipelinedAction]) -> Report {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReactorAction {
     /// Issue a copy-restore call on connection A: marshal with the real
-    /// client, wrap in the tagged envelope, classify. A fresh
-    /// pipelineable call must classify as `Offload` — anything else is
-    /// a `P010` violation.
+    /// client, wrap in the tagged envelope, step. A fresh pipelineable
+    /// call must step to `Offload` — anything else is a `P010`
+    /// violation.
     IssueA,
     /// Issue a call on connection B.
     IssueB,
@@ -2328,10 +1658,10 @@ pub enum ReactorAction {
     /// the reply in the shared cache, and route the tagged reply to the
     /// owning connection's inbox.
     RunJob,
-    /// Re-classify connection A's last tagged call frame, byte for
-    /// byte, as a retransmission would arrive. Legal outcomes are
-    /// `Ignore` (still executing) or a cached `Reply`; a second
-    /// `Offload` is a double execution.
+    /// Re-step connection A's last tagged call frame, byte for byte, as
+    /// a retransmission would arrive. Legal outcomes are no answer
+    /// (still executing) or a cached reply; a second `Offload` is a
+    /// double execution.
     RetransmitA,
     /// Collect connection A's reply from its inbox (a no-op while the
     /// job is still queued) and restore against A's private oracle.
@@ -2340,26 +1670,13 @@ pub enum ReactorAction {
     CollectB,
 }
 
-/// The reactor model's alphabet.
-pub const REACTOR_ALPHABET: [ReactorAction; 6] = [
-    ReactorAction::IssueA,
-    ReactorAction::IssueB,
-    ReactorAction::RunJob,
-    ReactorAction::RetransmitA,
-    ReactorAction::CollectA,
-    ReactorAction::CollectB,
-];
-
-/// One client connection of the reactor model: its own real
-/// [`ClientNode`] and private oracle twin (the reactor's workers share
-/// heaps *across* calls of different connections, so a torn restore
-/// shows up as client-vs-twin divergence), plus the in-flight state the
-/// reactor tracks per connection.
+/// One client connection of the reactor model: its own real client and
+/// private oracle twin (the reactor's workers share heaps *across*
+/// calls of different connections, so a torn restore shows up as
+/// client-vs-twin divergence), plus the in-flight state the reactor
+/// tracks per connection.
 struct ReactorConn {
-    client: ClientNode,
-    twin: Heap,
-    root: ObjId,
-    twin_root: ObjId,
+    ep: Endpoint,
     nonce: u64,
     next_seq: u64,
     pending: Option<(u64, PendingCall)>,
@@ -2370,224 +1687,180 @@ struct ReactorConn {
     inbox: VecDeque<Frame>,
 }
 
-/// Fresh world per reactor sequence: one [`SharedServer`], two
+/// One [`SharedServer`] stepped as the reactor thread steps it, two
 /// connections with distinct session nonces, the shared job queue, and
-/// two worker nodes built with [`SharedServer::connection_node`]
-/// exactly as the reactor's pool builds them.
-struct ReactorWorld {
-    shared: Arc<nrmi_core::SharedServer>,
-    conns: [ReactorConn; 2],
+/// two worker nodes built with [`SharedServer::connection_node`] exactly
+/// as the reactor's pool builds them.
+pub struct ReactorModel {
+    fixture: Fixture,
     /// The reactor thread's engine: one for every connection, as in the
     /// real reactor (its connections own no node, so no engine state).
-    engine: Connection,
+    reactor: Loopback<Arc<SharedServer>>,
+    conns: [ReactorConn; 2],
     /// Queued jobs: (connection index, nonce, seq, inner call frame).
     jobs: VecDeque<(usize, u64, u64, Frame)>,
-    workers: Vec<ServerNode>,
+    workers: [ServerNode; 2],
     next_worker: usize,
-    executions: Arc<std::sync::atomic::AtomicUsize>,
     dispatched: usize,
 }
 
-impl ReactorWorld {
+impl Model for ReactorModel {
+    type Action = ReactorAction;
+    const NAME: &'static str = "reactor";
+    const ALPHABET: &'static [ReactorAction] = &[
+        ReactorAction::IssueA,
+        ReactorAction::IssueB,
+        ReactorAction::RunJob,
+        ReactorAction::RetransmitA,
+        ReactorAction::CollectA,
+        ReactorAction::CollectB,
+    ];
+    // 6^4 = 1,296 sequences.
+    const DEPTH: usize = 4;
+
     fn new() -> Self {
-        let mut reg = ClassRegistry::new();
-        reg.define("Node")
-            .field_int("data")
-            .field_ref("left")
-            .field_ref("right")
-            .restorable()
-            .register();
-        let registry = reg.snapshot();
-
-        let mut server = ServerNode::new(registry.clone(), MachineSpec::fast());
-        let executions = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&executions);
-        server.bind(
-            SVC,
-            Box::new(FnService::new(move |_method, args, heap| {
-                let root = args[0]
-                    .as_ref_id()
-                    .ok_or_else(|| NrmiError::app("want a root reference"))?;
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                service_logic(heap, root)
-            })),
-        );
-        let shared = Arc::new(nrmi_core::SharedServer::from_node(server));
-
-        let conn = |nonce: u64, seed: i32| -> ReactorConn {
-            let mut client = ClientNode::new(registry.clone(), MachineSpec::fast());
-            let mut twin = Heap::new(registry.clone());
-            let root = build_tree(&mut client.state.heap, &registry);
-            let twin_root = build_tree(&mut twin, &registry);
-            client
-                .state
-                .heap
-                .set_field(root, "data", Value::Int(seed))
-                .expect("seed conn");
-            twin.set_field(twin_root, "data", Value::Int(seed))
-                .expect("seed twin");
-            ReactorConn {
-                client,
-                twin,
-                root,
-                twin_root,
-                nonce,
-                next_seq: 1,
-                pending: None,
-                last_tagged: None,
-                inbox: VecDeque::new(),
-            }
-        };
+        let fixture = Fixture::new();
+        let shared = Arc::new(SharedServer::from_node(fixture.server()));
         // Distinct nonces and histories: connection A's values evolve
-        // from 100, B's from 200, so a reply executed on the wrong
-        // state or routed to the wrong connection is observable.
-        let conn_a = conn(0xAAAA_1111, 100);
-        let conn_b = conn(0xBBBB_2222, 200);
-
-        let workers = (0..2).map(|_| shared.connection_node()).collect();
-
-        ReactorWorld {
-            engine: Connection::with_workers(&shared, WarmCaches::new()),
-            shared,
-            conns: [conn_a, conn_b],
+        // from 100, B's from 200, so a reply executed on the wrong state
+        // or routed to the wrong connection is observable.
+        let conn = |nonce, root_data| ReactorConn {
+            ep: fixture.endpoint(root_data),
+            nonce,
+            next_seq: 1,
+            pending: None,
+            last_tagged: None,
+            inbox: VecDeque::new(),
+        };
+        ReactorModel {
+            conns: [conn(0xAAAA_1111, 100), conn(0xBBBB_2222, 200)],
+            workers: [shared.connection_node(), shared.connection_node()],
+            reactor: Loopback::new(
+                Arc::clone(&shared),
+                Connection::with_workers(&shared, WarmCaches::new()),
+            ),
+            fixture,
             jobs: VecDeque::new(),
-            workers,
             next_worker: 0,
-            executions,
             dispatched: 0,
         }
     }
 
     fn step(&mut self, action: ReactorAction, report: &mut Report) {
+        use ReactorAction as R;
         match action {
-            ReactorAction::IssueA => self.do_issue(0, "A", report),
-            ReactorAction::IssueB => self.do_issue(1, "B", report),
-            ReactorAction::RunJob => self.do_run_job(report),
-            ReactorAction::RetransmitA => self.do_retransmit(0, "A", report),
-            ReactorAction::CollectA => self.do_collect(0, "A", report),
-            ReactorAction::CollectB => self.do_collect(1, "B", report),
+            R::IssueA => self.issue(0, report),
+            R::IssueB => self.issue(1, report),
+            R::RunJob => self.run_job(),
+            R::RetransmitA => self.retransmit(0, report),
+            R::CollectA => self.collect(0, report),
+            R::CollectB => self.collect(1, report),
         }
-        self.check_heaps(report);
-        self.check_exactly_once(report);
+        let [a, b] = &self.conns;
+        let [w0, w1] = &self.workers;
+        check_heaps(
+            report,
+            &[("A", &a.ep), ("B", &b.ep)],
+            &[("worker 0", &w0.state.heap), ("worker 1", &w1.state.heap)],
+        );
+        // Every offloaded job executes exactly once, when a `RunJob`
+        // pops it — retransmissions must never enqueue a second one.
+        self.fixture
+            .check_executions(self.dispatched, "dispatched job(s)", report);
     }
+}
 
-    fn do_issue(&mut self, which: usize, who: &str, report: &mut Report) {
-        if self.conns[which].pending.is_some() {
+impl ReactorModel {
+    fn issue(&mut self, i: usize, report: &mut Report) {
+        let who = format!("connection {}", NAMES[i]);
+        let conn = &mut self.conns[i];
+        if conn.pending.is_some() {
             return;
         }
-        let root = self.conns[which].root;
-        let marshalled = client_marshal_call(
-            &mut self.conns[which].client,
-            SVC,
-            METHOD,
-            &[Value::Ref(root)],
-            CallOptions::forced(PassMode::CopyRestore),
-        );
-        let (frame, pending) = match marshalled {
-            Ok(split) => split,
-            Err(e) => {
-                report.push(Diagnostic::error(
-                    "NRMI-P004",
-                    format!("conn {who}: marshal failed: {e}"),
-                ));
-                return;
-            }
+        let tree = conn.ep.tree;
+        let Some((frame, pending)) = conn.ep.marshal(&who, tree, report) else {
+            return;
         };
-        let seq = self.conns[which].next_seq;
-        self.conns[which].next_seq += 1;
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
         let tagged = Frame::Tagged {
-            nonce: self.conns[which].nonce,
+            nonce: conn.nonce,
             seq,
             frame: Box::new(frame),
         };
-        self.conns[which].last_tagged = Some(tagged.clone());
-        let mut out = Vec::new();
-        let host = Host::Pool(&self.shared, None);
-        match self
-            .engine
-            .on_frame(host, &mut NullTransport, tagged, &mut out)
-        {
+        conn.last_tagged = Some(tagged.clone());
+        match self.reactor.step(tagged) {
             Ok(Step::Offload {
                 nonce,
-                seq: got_seq,
+                seq: got,
                 call,
-            }) => {
-                if nonce != self.conns[which].nonce || got_seq != seq {
-                    report.push(Diagnostic::error(
-                        "NRMI-P010",
-                        format!(
-                            "conn {who}: classify mangled the call id: sent \
-                             ({:#x}, {seq}), offloaded ({nonce:#x}, {got_seq})",
-                            self.conns[which].nonce
-                        ),
-                    ));
-                    return;
-                }
-                self.jobs.push_back((which, nonce, got_seq, call));
-                self.conns[which].pending = Some((seq, pending));
+            }) if nonce == conn.nonce && got == seq => {
+                self.jobs.push_back((i, nonce, seq, call));
+                conn.pending = Some((seq, pending));
             }
-            other => report.push(Diagnostic::error(
-                "NRMI-P010",
-                format!(
-                    "conn {who}: a fresh pipelineable call must offload to the \
-                     worker pool; the reactor answered {other:?} with {out:?}"
-                ),
-            )),
+            other => {
+                let answered: Vec<Frame> = self.reactor.queue.drain(..).collect();
+                report.push(Diagnostic::error(
+                    "NRMI-P010",
+                    format!(
+                        "{who}: a fresh pipelineable call ({:#x}, {seq}) must offload to \
+                         the worker pool under its own call id; the reactor stepped to \
+                         {other:?} with {answered:?}",
+                        conn.nonce
+                    ),
+                ));
+            }
         }
     }
 
-    fn do_run_job(&mut self, _report: &mut Report) {
-        let Some((which, nonce, seq, call)) = self.jobs.pop_front() else {
+    fn run_job(&mut self) {
+        let Some((i, nonce, seq, call)) = self.jobs.pop_front() else {
             return;
         };
         // Workers alternate, as the real pool's threads race: the same
         // connection's consecutive calls may execute on different
         // worker heaps.
-        let slot = self.next_worker % self.workers.len();
+        let worker = &mut self.workers[self.next_worker % 2];
         self.next_worker += 1;
-        let reply =
-            nrmi_core::run_offloaded(&self.shared, &mut self.workers[slot], nonce, seq, call);
+        let reply = run_offloaded(&self.reactor.server, worker, nonce, seq, call);
         self.dispatched += 1;
-        self.conns[which].inbox.push_back(reply);
+        self.conns[i].inbox.push_back(reply);
     }
 
-    fn do_retransmit(&mut self, which: usize, who: &str, report: &mut Report) {
-        let Some(tagged) = self.conns[which].last_tagged.clone() else {
+    fn retransmit(&mut self, i: usize, report: &mut Report) {
+        let conn = &mut self.conns[i];
+        let Some(tagged) = conn.last_tagged.clone() else {
             return;
         };
-        let mut out = Vec::new();
-        let host = Host::Pool(&self.shared, None);
-        match self
-            .engine
-            .on_frame(host, &mut NullTransport, tagged, &mut out)
-        {
+        match self.reactor.step(tagged) {
             // Still queued or executing: the duplicate is dropped
-            // unanswered (nothing appended) and the client's next
+            // unanswered (nothing queued) and the client's next
             // retransmission replays the stored reply. Executed:
             // answered from the cache. Route it to the connection like
             // any reply; a stale duplicate for an already-collected call
             // just sits in the inbox, exactly as the client's
             // demultiplexer discards unsolicited frames.
-            Ok(Step::Continue) => self.conns[which].inbox.extend(out),
+            Ok(Step::Continue) => conn.inbox.extend(self.reactor.queue.drain(..)),
             other => report.push(Diagnostic::error(
                 "NRMI-P010",
                 format!(
-                    "conn {who}: a retransmitted call id must be ignored or \
-                     answered from the reply cache, never {other:?} — that is a \
-                     double execution"
+                    "connection {}: a retransmitted call id must be ignored or answered \
+                     from the reply cache, never {other:?} — that is a double execution",
+                    NAMES[i]
                 ),
             )),
         }
     }
 
-    fn do_collect(&mut self, which: usize, who: &str, report: &mut Report) {
-        let Some(&(seq, _)) = self.conns[which].pending.as_ref() else {
+    fn collect(&mut self, i: usize, report: &mut Report) {
+        let who = format!("connection {}", NAMES[i]);
+        let conn = &mut self.conns[i];
+        let Some(&(seq, _)) = conn.pending.as_ref() else {
             return;
         };
-        let want_nonce = self.conns[which].nonce;
         // The reply may not have been produced yet (job still queued):
         // leave the call pending, as the blocked client would.
-        let Some(pos) = self.conns[which].inbox.iter().position(|f| {
+        let Some(pos) = conn.inbox.iter().position(|f| {
             matches!(
                 f,
                 Frame::Tagged { seq: s, .. } | Frame::ReplyCached { seq: s, .. } if *s == seq
@@ -2595,160 +1868,35 @@ impl ReactorWorld {
         }) else {
             return;
         };
-        let frame = self.conns[which].inbox.remove(pos).expect("indexed");
-        let (nonce, inner) = match frame {
-            Frame::Tagged { nonce, frame, .. } | Frame::ReplyCached { nonce, frame, .. } => {
+        let (nonce, inner) = match conn.inbox.remove(pos) {
+            Some(Frame::Tagged { nonce, frame, .. } | Frame::ReplyCached { nonce, frame, .. }) => {
                 (nonce, *frame)
             }
             other => unreachable!("matched above: {other:?}"),
         };
-        if nonce != want_nonce {
+        if nonce != conn.nonce {
             report.push(Diagnostic::error(
                 "NRMI-P010",
                 format!(
-                    "conn {who}: reply crossed connections: call id nonce \
-                     {nonce:#x}, connection nonce {want_nonce:#x}"
+                    "{who}: reply crossed connections: call id nonce {nonce:#x}, \
+                     connection nonce {:#x}",
+                    conn.nonce
                 ),
             ));
             return;
         }
-        let payload = match inner {
-            Frame::CallReply { payload } => payload,
-            other => {
-                report.push(Diagnostic::error(
-                    "NRMI-P010",
-                    format!("conn {who}: call {seq} answered with {other:?}"),
-                ));
-                return;
-            }
-        };
-        let (_, pending) = self.conns[which].pending.take().expect("checked above");
-        let twin_root = self.conns[which].twin_root;
-        let got = client_apply_reply(&mut self.conns[which].client, pending, &payload);
-        let want = service_logic(&mut self.conns[which].twin, twin_root);
-        match (got, want) {
-            (Ok((got, _stats)), Ok(want)) => {
-                if got != want {
-                    report.push(Diagnostic::error(
-                        "NRMI-P010",
-                        format!(
-                            "conn {who}: reply routed to the wrong call or executed \
-                             on torn state: got {got:?}, want {want:?}"
-                        ),
-                    ));
-                }
-                match graph::isomorphic(
-                    &self.conns[which].client.state.heap,
-                    self.conns[which].root,
-                    &self.conns[which].twin,
-                    twin_root,
-                ) {
-                    Ok(true) => {}
-                    Ok(false) => report.push(Diagnostic::error(
-                        "NRMI-P010",
-                        format!(
-                            "conn {who}: restored graph diverged from its oracle — \
-                             another connection's call tore this worker dispatch"
-                        ),
-                    )),
-                    Err(e) => report.push(Diagnostic::error(
-                        "NRMI-P010",
-                        format!("conn {who}: isomorphism comparison failed: {e}"),
-                    )),
-                }
-            }
-            (Err(e), _) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("conn {who}: restore failed: {e}"),
-            )),
-            (_, Err(e)) => report.push(Diagnostic::error(
-                "NRMI-P004",
-                format!("local oracle itself failed (checker bug): {e}"),
-            )),
-        }
-    }
-
-    fn check_heaps(&mut self, report: &mut Report) {
-        for (which, who) in [(0usize, "A"), (1, "B")] {
-            for (label, code, heap) in [
-                ("client", "NRMI-P001", &self.conns[which].client.state.heap),
-                ("oracle", "NRMI-P001", &self.conns[which].twin),
-            ] {
-                for v in validate(heap) {
-                    report.push(
-                        Diagnostic::error(code, format!("conn {who} {label} heap corrupted: {v}"))
-                            .with("heap", label),
-                    );
-                }
-            }
-        }
-        for (i, node) in self.workers.iter().enumerate() {
-            for v in validate(&node.state.heap) {
-                report.push(
-                    Diagnostic::error("NRMI-P002", format!("worker {i} heap corrupted: {v}"))
-                        .with("heap", "worker"),
-                );
-            }
-        }
-    }
-
-    /// Every offloaded job executes exactly once, when a `RunJob` pops
-    /// it — retransmissions must never enqueue a second execution.
-    fn check_exactly_once(&mut self, report: &mut Report) {
-        let ran = self.executions.load(std::sync::atomic::Ordering::SeqCst);
-        if ran != self.dispatched {
+        let Frame::CallReply { payload } = inner else {
             report.push(Diagnostic::error(
-                "NRMI-P007",
-                format!(
-                    "reactor at-most-once broken: {ran} service execution(s) for \
-                     {} dispatched job(s)",
-                    self.dispatched
-                ),
+                "NRMI-P010",
+                format!("{who}: call {seq} answered with {inner:?}"),
             ));
-        }
-    }
-}
-
-/// Runs one reactor action sequence against a fresh world, returning
-/// all violations (panics become `NRMI-P006`).
-pub fn check_reactor_sequence(actions: &[ReactorAction]) -> Report {
-    let trace = actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ");
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = ReactorWorld::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                return (report, Some(i));
-            }
-        }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
-            }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
-        }
+            return;
+        };
+        let (_, pending) = conn.pending.take().expect("checked above");
+        let got = client_apply_reply(&mut conn.ep.client, pending, &payload);
+        let tree = conn.ep.tree;
+        conn.ep
+            .judge(&who, tree, got, ("NRMI-P010", Some("NRMI-P010")), report);
     }
 }
 
@@ -2756,296 +1904,163 @@ pub fn check_reactor_sequence(actions: &[ReactorAction]) -> Report {
 // Enumeration
 // ---------------------------------------------------------------------------
 
-/// Bounds and alphabet for one [`model_check`] run.
+/// Bounds for one [`model_check`] run. Each model's depth is declared
+/// beside its alphabet ([`Model::DEPTH`]); the config only caps it.
 #[derive(Clone, Debug)]
 pub struct ModelCheckConfig {
-    /// Exhaustive depth over [`CORE_ALPHABET`].
-    pub core_depth: usize,
-    /// Exhaustive depth over [`ADVERSARIAL_ALPHABET`].
-    pub adversarial_depth: usize,
-    /// Exhaustive depth over [`RELIABILITY_ALPHABET`] (the retry /
-    /// duplicate-suppression / reconnect state machine).
-    pub reliability_depth: usize,
-    /// Exhaustive depth over [`SHARED_ALPHABET`] (two connections
-    /// interleaved on one lock-split server).
-    pub shared_depth: usize,
-    /// Exhaustive depth over [`SHARED_GRAPH_ALPHABET`] (two warm clients
-    /// leased onto ONE server heap, each call writing the other's graph
-    /// out-of-band — the coherence/lease model).
-    pub shared_graph_depth: usize,
-    /// Exhaustive depth over [`PIPELINED_ALPHABET`] (two calls in flight
-    /// on one multiplexed connection, replies reordered and dropped).
-    pub pipelined_depth: usize,
-    /// Exhaustive depth over [`REACTOR_ALPHABET`] (two connections
-    /// multiplexed through the reactor's classify/offload/complete step
-    /// function onto alternating worker nodes).
-    pub reactor_depth: usize,
-    /// Stop after this many error diagnostics (a broken invariant tends
-    /// to fail thousands of sequences identically).
+    /// Upper bound on every model's depth: `usize::MAX` enumerates each
+    /// model at its own depth, 0 skips the protocol enumeration.
+    pub depth_cap: usize,
+    /// Stop the whole enumeration after this many error diagnostics (a
+    /// broken invariant tends to fail thousands of sequences
+    /// identically).
     pub max_errors: usize,
 }
 
 impl Default for ModelCheckConfig {
+    /// Every model at its own depth: 67,282 sequences.
     fn default() -> Self {
-        // Depth 6 over the 6-action core alphabet: 46_656 sequences,
-        // ~280k protocol actions; plus 9^4 = 6_561 adversarial sequences,
-        // 6^4 = 1_296 reliability sequences, 6^5 = 7_776 two-connection
-        // shared-server sequences, 7^4 = 2_401 shared-graph coherence
-        // sequences, 6^4 = 1_296 pipelined reply-routing sequences, and
-        // 6^4 = 1_296 reactor dispatch sequences.
         ModelCheckConfig {
-            core_depth: 6,
-            adversarial_depth: 4,
-            reliability_depth: 4,
-            shared_depth: 5,
-            shared_graph_depth: 4,
-            pipelined_depth: 4,
-            reactor_depth: 4,
+            depth_cap: usize::MAX,
             max_errors: 25,
         }
     }
 }
 
-/// Runs one action sequence against a fresh world, returning all
-/// violations. Panics inside the sequence are caught and reported as
-/// `NRMI-P006` with the action trace.
-pub fn check_sequence(actions: &[Action]) -> Report {
-    let trace = trace_of(actions);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = World::new();
-        let mut report = Report::new();
-        for (i, &action) in actions.iter().enumerate() {
-            world.step(action, &mut report);
-            if report.has_errors() {
-                // Tag findings with how far in the failure appeared.
-                return (report, Some(i));
-            }
+/// One row of the enumeration table: a model's name and depth, and its
+/// enumerator.
+struct Row {
+    name: &'static str,
+    depth: usize,
+    run: fn(&mut Enumeration, usize),
+}
+
+fn row<M: Model>() -> Row {
+    Row {
+        name: M::NAME,
+        depth: M::DEPTH,
+        run: Enumeration::run::<M>,
+    }
+}
+
+/// Every model [`model_check`] enumerates, in order.
+fn models() -> [Row; 7] {
+    [
+        row::<CoreModel>(),
+        row::<AdversarialModel>(),
+        row::<ReliabilityModel>(),
+        row::<SharedModel>(),
+        row::<SharedGraphModel>(),
+        row::<PipelinedModel>(),
+        row::<ReactorModel>(),
+    ]
+}
+
+/// One enumeration's findings and progress across the whole table.
+struct Enumeration {
+    report: Report,
+    sequences: usize,
+    max_errors: usize,
+    stopped: bool,
+}
+
+impl Enumeration {
+    /// Odometer-style enumeration of all `|alphabet|^depth` sequences of
+    /// `M`, until the table-wide error budget is spent.
+    fn run<M: Model>(&mut self, depth: usize) {
+        if depth == 0 || self.stopped {
+            return;
         }
-        (report, None)
-    }));
-    match outcome {
-        Ok((mut report, failed_at)) => {
-            if let Some(i) = failed_at {
-                report = report
-                    .diagnostics()
-                    .iter()
-                    .cloned()
-                    .map(|d| d.with("trace", &trace).with("failed_at_step", i))
-                    .collect();
+        let alphabet = M::ALPHABET;
+        let mut digits = vec![0usize; depth];
+        loop {
+            let actions: Vec<M::Action> = digits.iter().map(|&d| alphabet[d]).collect();
+            self.report.merge(check_sequence::<M>(&actions));
+            self.sequences += 1;
+            if self.report.counts().0 >= self.max_errors {
+                self.stopped = true;
+                self.report.push(Diagnostic::warning(
+                    "NRMI-P000",
+                    format!(
+                        "stopped after {} errors; enumeration incomplete",
+                        self.max_errors
+                    ),
+                ));
+                return;
             }
-            report
-        }
-        Err(payload) => {
-            let msg = panic_message(&payload);
-            let mut report = Report::new();
-            report.push(
-                Diagnostic::error("NRMI-P006", format!("sequence panicked: {msg}"))
-                    .with("trace", &trace),
-            );
-            report
+            // Advance the odometer; past the last sequence, stop.
+            let Some(i) = digits.iter().position(|&d| d + 1 < alphabet.len()) else {
+                return;
+            };
+            digits[..i].fill(0);
+            digits[i] += 1;
         }
     }
 }
 
-fn trace_of(actions: &[Action]) -> String {
-    actions
-        .iter()
-        .map(|a| format!("{a:?}"))
-        .collect::<Vec<_>>()
-        .join(" → ")
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// Exhaustively enumerates every action sequence of exactly
-/// `cfg.core_depth` over the core alphabet and `cfg.adversarial_depth`
-/// over the adversarial alphabet, running each against a fresh
-/// client/server pair. Checking full-depth sequences covers every
-/// shorter prefix, since each sequence re-executes (and re-checks) its
-/// prefix from scratch.
+/// Exhaustively enumerates every action sequence of each model at its
+/// depth (capped by `cfg.depth_cap`), running each against a fresh
+/// world. Checking full-depth sequences covers every shorter prefix,
+/// since each sequence re-executes (and re-checks) its prefix from
+/// scratch.
 pub fn model_check(cfg: &ModelCheckConfig) -> Report {
-    let mut report = Report::new();
-    let mut sequences = 0usize;
+    enumerate(&models(), cfg)
+}
+
+fn enumerate(table: &[Row], cfg: &ModelCheckConfig) -> Report {
+    let mut run = Enumeration {
+        report: Report::new(),
+        sequences: 0,
+        max_errors: cfg.max_errors,
+        stopped: false,
+    };
+    let depth = |row: &Row| row.depth.min(cfg.depth_cap);
 
     // Panics are expected to be absent; silence the default hook so a
     // genuine finding doesn't spray 46k backtraces, and restore it after.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut inner = Report::new();
-        let mut count = 0usize;
-        for (alphabet, depth) in [
-            (&CORE_ALPHABET[..], cfg.core_depth),
-            (&ADVERSARIAL_ALPHABET[..], cfg.adversarial_depth),
-        ] {
-            enumerate(
-                alphabet,
-                depth,
-                cfg.max_errors,
-                &mut inner,
-                &mut count,
-                check_sequence,
-            );
+        for row in table {
+            (row.run)(&mut run, depth(row));
         }
-        enumerate(
-            &RELIABILITY_ALPHABET[..],
-            cfg.reliability_depth,
-            cfg.max_errors,
-            &mut inner,
-            &mut count,
-            check_reliability_sequence,
-        );
-        enumerate(
-            &SHARED_ALPHABET[..],
-            cfg.shared_depth,
-            cfg.max_errors,
-            &mut inner,
-            &mut count,
-            check_shared_sequence,
-        );
-        enumerate(
-            &SHARED_GRAPH_ALPHABET[..],
-            cfg.shared_graph_depth,
-            cfg.max_errors,
-            &mut inner,
-            &mut count,
-            check_shared_graph_sequence,
-        );
-        enumerate(
-            &PIPELINED_ALPHABET[..],
-            cfg.pipelined_depth,
-            cfg.max_errors,
-            &mut inner,
-            &mut count,
-            check_pipelined_sequence,
-        );
-        enumerate(
-            &REACTOR_ALPHABET[..],
-            cfg.reactor_depth,
-            cfg.max_errors,
-            &mut inner,
-            &mut count,
-            check_reactor_sequence,
-        );
-        (inner, count)
     }));
     std::panic::set_hook(prev_hook);
-
-    match result {
-        Ok((inner, count)) => {
-            report.merge(inner);
-            sequences = count;
-        }
-        Err(_) => report.push(Diagnostic::error(
+    if result.is_err() {
+        run.report.push(Diagnostic::error(
             "NRMI-P006",
             "the enumerator itself panicked (checker bug)",
-        )),
+        ));
     }
 
-    let (errors, _, _) = report.counts();
-    report.push(
+    let (errors, _, _) = run.report.counts();
+    let depths = table
+        .iter()
+        .map(|row| format!("{} depth {}", row.name, depth(row)))
+        .collect::<Vec<_>>()
+        .join(", ");
+    run.report.push(
         Diagnostic::info(
             "NRMI-P000",
             format!(
-                "protocol enumeration explored {sequences} sequences \
-                 (core depth {}, adversarial depth {}, reliability depth {}, \
-                 shared depth {}, shared-graph depth {}, pipelined depth {}, \
-                 reactor depth {}): {errors} violation(s)",
-                cfg.core_depth,
-                cfg.adversarial_depth,
-                cfg.reliability_depth,
-                cfg.shared_depth,
-                cfg.shared_graph_depth,
-                cfg.pipelined_depth,
-                cfg.reactor_depth
+                "protocol enumeration explored {} sequences ({depths}): {errors} violation(s)",
+                run.sequences
             ),
         )
-        .with("sequences", sequences),
+        .with("sequences", run.sequences),
     );
-    report
-}
-
-/// Odometer-style enumeration of all `|alphabet|^depth` sequences,
-/// running each through `run` (one of the per-sequence checkers).
-fn enumerate<A: Copy>(
-    alphabet: &[A],
-    depth: usize,
-    max_errors: usize,
-    report: &mut Report,
-    sequences: &mut usize,
-    run: impl Fn(&[A]) -> Report,
-) {
-    if depth == 0 {
-        return;
-    }
-    let mut digits = vec![0usize; depth];
-    loop {
-        let actions: Vec<A> = digits.iter().map(|&d| alphabet[d]).collect();
-        report.merge(run(&actions));
-        *sequences += 1;
-        if report.counts().0 >= max_errors {
-            report.push(Diagnostic::warning(
-                "NRMI-P000",
-                format!("stopped after {max_errors} errors; enumeration incomplete"),
-            ));
-            return;
-        }
-        // Advance the odometer.
-        let mut i = 0;
-        loop {
-            digits[i] += 1;
-            if digits[i] < alphabet.len() {
-                break;
-            }
-            digits[i] = 0;
-            i += 1;
-            if i == depth {
-                return;
-            }
-        }
-    }
+    run.report
 }
 
 #[cfg(test)]
 mod tests {
+    use nrmi_core::ReplyCache;
+
     use super::*;
 
-    #[test]
-    fn single_call_round_trips() {
-        let report = check_sequence(&[Action::Call, Action::Call, Action::Call]);
-        assert!(!report.has_errors(), "{}", report.render());
-    }
-
-    #[test]
-    fn coherence_and_recovery_sequences_are_clean() {
-        for seq in [
-            vec![Action::Call, Action::MutateServer, Action::Call],
-            vec![Action::Call, Action::Evict, Action::Call],
-            vec![
-                Action::Call,
-                Action::Prune,
-                Action::Call,
-                Action::Graft,
-                Action::Call,
-            ],
-            vec![
-                Action::Graft,
-                Action::Call,
-                Action::StaleGeneration,
-                Action::Call,
-            ],
-            vec![Action::Call, Action::GarbagePayload, Action::Call],
-            vec![Action::UnknownCache, Action::Call, Action::UnknownCache],
-        ] {
-            let report = check_sequence(&seq);
+    fn assert_clean<M: Model>(sequences: &[&[M::Action]]) {
+        for seq in sequences {
+            let report = check_sequence::<M>(seq);
             assert!(
                 !report.has_errors(),
                 "sequence {seq:?} failed:\n{}",
@@ -3054,39 +2069,96 @@ mod tests {
         }
     }
 
+    /// A fresh `M` world stepped cleanly through `actions`.
+    fn world_after<M: Model>(actions: &[M::Action]) -> M {
+        let mut world = M::new();
+        let mut report = Report::new();
+        for &action in actions {
+            world.step(action, &mut report);
+        }
+        assert!(!report.has_errors(), "{}", report.render());
+        world
+    }
+
+    /// Steps `world` once and returns what the step reported.
+    fn step<M: Model>(world: &mut M, action: M::Action) -> Report {
+        let mut report = Report::new();
+        world.step(action, &mut report);
+        report
+    }
+
+    /// Writes the twin of the endpoint's right leaf behind the client's
+    /// back: the next judgement against that twin must diverge. (Not the
+    /// root: the warm models' twins adopt out-of-band writes to it.)
+    fn corrupt_twin(ep: &mut Endpoint) {
+        let leaf = ep.twin.get_ref(ep.tree.twin_root, "right").expect("live");
+        let leaf = leaf.expect("a right leaf");
+        let d = int_data(&mut ep.twin, leaf).expect("live");
+        ep.twin
+            .set_field(leaf, "data", Value::Int(d + 5))
+            .expect("live");
+    }
+
+    fn executions(fixture: &Fixture) -> usize {
+        fixture.executions.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn single_call_round_trips() {
+        use Action as A;
+        assert_clean::<CoreModel>(&[&[A::Call, A::Call, A::Call]]);
+    }
+
+    #[test]
+    fn coherence_and_recovery_sequences_are_clean() {
+        use Action as A;
+        assert_clean::<AdversarialModel>(&[
+            &[A::Call, A::MutateServer, A::Call],
+            &[A::Call, A::Evict, A::Call],
+            &[A::Call, A::Prune, A::Call, A::Graft, A::Call],
+            &[A::Graft, A::Call, A::StaleGeneration, A::Call],
+            &[A::Call, A::GarbagePayload, A::Call],
+            &[A::UnknownCache, A::Call, A::UnknownCache],
+        ]);
+    }
+
     #[test]
     fn shallow_exhaustive_core_enumeration_is_clean() {
-        // Depth 3 over both alphabets runs fast enough for debug builds;
-        // CI's `tables -- check` job runs the full depth-6 configuration
+        // Depth 3 over every alphabet runs fast enough for debug builds;
+        // CI's `tables -- check` job runs every model at its own depth
         // in release.
         let report = model_check(&ModelCheckConfig {
-            core_depth: 3,
-            adversarial_depth: 2,
-            reliability_depth: 2,
-            shared_depth: 3,
-            shared_graph_depth: 3,
-            pipelined_depth: 3,
-            reactor_depth: 3,
+            depth_cap: 3,
             max_errors: 25,
         });
         assert!(!report.has_errors(), "{}", report.render());
-        assert!(report.has_code("NRMI-P000"), "coverage note present");
+        let note = report
+            .diagnostics()
+            .iter()
+            .find(|d| d.code == "NRMI-P000")
+            .expect("coverage note present");
+        // 6^3 + 9^3 + 6^3 + 6^3 + 7^3 + 6^3 + 6^3.
+        assert!(
+            note.message.contains("explored 2152 sequences"),
+            "{}",
+            note.message
+        );
     }
 
     #[test]
     fn reliability_fault_sequences_are_clean() {
         use ReliabilityAction as R;
-        for seq in [
-            vec![R::Call, R::Call],
-            vec![R::DropReply, R::Call, R::Call],
-            vec![R::DropRequest, R::Call, R::MutateClient, R::Call],
-            vec![R::DuplicateRequest, R::Call, R::Call],
-            vec![R::Disconnect, R::Call, R::Call],
+        assert_clean::<ReliabilityModel>(&[
+            &[R::Call, R::Call],
+            &[R::DropReply, R::Call, R::Call],
+            &[R::DropRequest, R::Call, R::MutateClient, R::Call],
+            &[R::DuplicateRequest, R::Call, R::Call],
+            &[R::Disconnect, R::Call, R::Call],
             // Reply lost, then the connection too: the retransmission
             // crosses a reconnect and must be served from the cache.
-            vec![R::Call, R::DropReply, R::Disconnect, R::Call],
+            &[R::Call, R::DropReply, R::Disconnect, R::Call],
             // Everything at once against a single call.
-            vec![
+            &[
                 R::DropRequest,
                 R::DropReply,
                 R::DuplicateRequest,
@@ -3094,25 +2166,49 @@ mod tests {
                 R::Call,
                 R::Call,
             ],
-        ] {
-            let report = check_reliability_sequence(&seq);
-            assert!(
-                !report.has_errors(),
-                "sequence {seq:?} failed:\n{}",
-                report.render()
-            );
-        }
+        ]);
+    }
+
+    #[test]
+    fn reliability_duplicate_without_reply_cache_is_caught() {
+        // One tagged call delivered twice executes once and replays
+        // once; wiping the reply cache between the deliveries must make
+        // the second one re-execute, and the counter must say so.
+        let mut world = ReliabilityModel::new();
+        let tree = world.ep.tree;
+        let (call, _) = world
+            .ep
+            .marshal("test", tree, &mut Report::new())
+            .expect("marshal");
+        let tagged = Frame::Tagged {
+            nonce: 1,
+            seq: 1,
+            frame: Box::new(call),
+        };
+        let link = &mut world.transport.inner_mut().link;
+        link.step(tagged.clone()).expect("step");
+        link.step(tagged.clone()).expect("step");
+        world.calls = 1;
+        let report = step(&mut world, ReliabilityAction::MutateClient);
+        assert!(!report.has_errors(), "{}", report.render());
+
+        let link = &mut world.transport.inner_mut().link;
+        link.server.replies = ReplyCache::new(1 << 20);
+        link.step(tagged).expect("step");
+        let report = step(&mut world, ReliabilityAction::MutateClient);
+        assert!(report.has_code("NRMI-P007"), "{}", report.render());
+        assert_eq!(executions(&world.fixture), 2);
     }
 
     #[test]
     fn shared_two_connection_sequences_are_clean() {
         use SharedAction as S;
-        for seq in [
+        assert_clean::<SharedModel>(&[
             // Interleaved seeding: both connections seed against the
             // same shared server and stay independent.
-            vec![S::CallA, S::CallB, S::CallA, S::CallB],
+            &[S::CallA, S::CallB, S::CallA, S::CallB],
             // Dirty deltas cross the shared reply cache interleaved.
-            vec![
+            &[
                 S::CallA,
                 S::CallB,
                 S::MutateA,
@@ -3121,32 +2217,25 @@ mod tests {
                 S::CallB,
             ],
             // One connection evicts mid-stream; the other must not care.
-            vec![S::CallA, S::CallB, S::EvictA, S::CallB, S::CallA],
+            &[S::CallA, S::CallB, S::EvictA, S::CallB, S::CallA],
             // Eviction of a never-seeded session, then cross traffic.
-            vec![S::EvictB, S::CallA, S::CallB],
-        ] {
-            let report = check_shared_sequence(&seq);
-            assert!(
-                !report.has_errors(),
-                "sequence {seq:?} failed:\n{}",
-                report.render()
-            );
-        }
+            &[S::EvictB, S::CallA, S::CallB],
+        ]);
     }
 
     #[test]
     fn shared_graph_coherence_sequences_are_clean() {
         use SharedGraphAction as G;
-        for seq in [
+        assert_clean::<SharedGraphModel>(&[
             // Alternating calls: every call dirties the peer's leased
             // graph; every next call must see the CacheStale repair.
-            vec![G::CallA, G::CallB, G::CallA, G::CallB],
+            &[G::CallA, G::CallB, G::CallA, G::CallB],
             // An unshipped local write races the peer's out-of-band
             // poke: the positional merge must let the client win.
-            vec![G::CallA, G::CallB, G::MutateA, G::CallA, G::CallB],
+            &[G::CallA, G::CallB, G::MutateA, G::CallA, G::CallB],
             // Both sides write locally, then both call: client-wins on
             // both roots, no repair patch may clobber either.
-            vec![
+            &[
                 G::CallA,
                 G::CallB,
                 G::MutateA,
@@ -3156,36 +2245,29 @@ mod tests {
             ],
             // A's teardown while B holds a leased session on the same
             // heap: B's objects must survive, A reconnects via miss.
-            vec![G::CallA, G::CallB, G::DropA, G::CallB, G::CallA],
+            &[G::CallA, G::CallB, G::DropA, G::CallB, G::CallA],
             // Teardown of a dirtied (incoherent) session, then reuse.
-            vec![G::CallA, G::CallB, G::MutateA, G::DropA, G::CallA],
+            &[G::CallA, G::CallB, G::MutateA, G::DropA, G::CallA],
             // Eviction after the peer poked the evicted graph: the
             // incoherent entry must leak, not free, and B stays intact.
-            vec![G::CallA, G::CallB, G::EvictA, G::CallB, G::CallA],
+            &[G::CallA, G::CallB, G::EvictA, G::CallB, G::CallA],
             // Teardown and eviction against never-seeded sessions.
-            vec![G::DropA, G::EvictB, G::CallA, G::CallB],
-        ] {
-            let report = check_shared_graph_sequence(&seq);
-            assert!(
-                !report.has_errors(),
-                "sequence {seq:?} failed:\n{}",
-                report.render()
-            );
-        }
+            &[G::DropA, G::EvictB, G::CallA, G::CallB],
+        ]);
     }
 
     #[test]
     fn pipelined_reply_routing_sequences_are_clean() {
         use PipelinedAction as P;
-        for seq in [
+        assert_clean::<PipelinedModel>(&[
             // Plain pipelining: two in flight, collected in issue order.
-            vec![P::IssueA, P::IssueB, P::CollectA, P::CollectB],
+            &[P::IssueA, P::IssueB, P::CollectA, P::CollectB],
             // Collected in reverse: the demux resolves B first and
             // parks A's reply for its later collect.
-            vec![P::IssueA, P::IssueB, P::CollectB, P::CollectA],
+            &[P::IssueA, P::IssueB, P::CollectB, P::CollectA],
             // Replies cross on the wire: routing must follow call ids,
             // not arrival order.
-            vec![
+            &[
                 P::IssueA,
                 P::IssueB,
                 P::SwapReplies,
@@ -3194,12 +2276,12 @@ mod tests {
             ],
             // A's reply is lost: its collect retransmits and replays
             // from the cache while B's reply sits queued behind it.
-            vec![P::IssueA, P::IssueB, P::DropReply, P::CollectA, P::CollectB],
+            &[P::IssueA, P::IssueB, P::DropReply, P::CollectA, P::CollectB],
             // Collect with nothing in flight: the typed NoPendingCall
-            // error, not a panic (the regression the satellite fixed).
-            vec![P::IssueA, P::CollectA, P::CollectA],
+            // error, not a panic.
+            &[P::IssueA, P::CollectA, P::CollectA],
             // Back-to-back rounds reuse the slots with evolved values.
-            vec![
+            &[
                 P::IssueA,
                 P::CollectA,
                 P::IssueB,
@@ -3208,25 +2290,18 @@ mod tests {
                 P::CollectA,
                 P::CollectB,
             ],
-        ] {
-            let report = check_pipelined_sequence(&seq);
-            assert!(
-                !report.has_errors(),
-                "sequence {seq:?} failed:\n{}",
-                report.render()
-            );
-        }
+        ]);
     }
 
     #[test]
     fn reactor_dispatch_sequences_are_clean() {
         use ReactorAction as R;
-        for seq in [
+        assert_clean::<ReactorModel>(&[
             // One call through the whole offload path.
-            vec![R::IssueA, R::RunJob, R::CollectA],
+            &[R::IssueA, R::RunJob, R::CollectA],
             // Both connections in flight; jobs drain in either order
             // relative to collects, replies route by connection.
-            vec![
+            &[
                 R::IssueA,
                 R::IssueB,
                 R::RunJob,
@@ -3235,17 +2310,17 @@ mod tests {
                 R::CollectA,
             ],
             // Collect before the job ran: a no-op, then the real thing.
-            vec![R::IssueA, R::CollectA, R::RunJob, R::CollectA],
+            &[R::IssueA, R::CollectA, R::RunJob, R::CollectA],
             // Retransmission of a queued call: ignored (in progress),
             // executed once, collected once.
-            vec![R::IssueA, R::RetransmitA, R::RunJob, R::CollectA],
+            &[R::IssueA, R::RetransmitA, R::RunJob, R::CollectA],
             // Retransmission of an executed call: answered from the
             // cache, and the cached reply satisfies the collect.
-            vec![R::IssueA, R::RunJob, R::RetransmitA, R::CollectA],
+            &[R::IssueA, R::RunJob, R::RetransmitA, R::CollectA],
             // Back-to-back rounds on one connection interleaved with
             // the other: consecutive calls land on different worker
             // heaps.
-            vec![
+            &[
                 R::IssueA,
                 R::RunJob,
                 R::CollectA,
@@ -3256,33 +2331,21 @@ mod tests {
                 R::CollectA,
                 R::CollectB,
             ],
-        ] {
-            let report = check_reactor_sequence(&seq);
-            assert!(
-                !report.has_errors(),
-                "sequence {seq:?} failed:\n{}",
-                report.render()
-            );
-        }
+        ]);
     }
 
     #[test]
     fn reactor_world_replays_retransmissions_from_the_cache() {
         use ReactorAction as R;
-        let mut world = ReactorWorld::new();
-        let mut report = Report::new();
-        for action in [
+        let world = world_after::<ReactorModel>(&[
             R::IssueA,
             R::RetransmitA,
             R::RunJob,
             R::RetransmitA,
             R::CollectA,
-        ] {
-            world.step(action, &mut report);
-        }
-        assert!(!report.has_errors(), "{}", report.render());
+        ]);
         assert_eq!(
-            world.executions.load(std::sync::atomic::Ordering::SeqCst),
+            executions(&world.fixture),
             1,
             "two retransmissions around one execution must not re-execute"
         );
@@ -3291,14 +2354,15 @@ mod tests {
     #[test]
     fn pipelined_world_counts_one_execution_per_issued_call() {
         use PipelinedAction as P;
-        let mut world = PipelinedWorld::new();
-        let mut report = Report::new();
-        for action in [P::IssueA, P::IssueB, P::DropReply, P::CollectA, P::CollectB] {
-            world.step(action, &mut report);
-        }
-        assert!(!report.has_errors(), "{}", report.render());
+        let world = world_after::<PipelinedModel>(&[
+            P::IssueA,
+            P::IssueB,
+            P::DropReply,
+            P::CollectA,
+            P::CollectB,
+        ]);
         assert_eq!(
-            world.executions.load(std::sync::atomic::Ordering::SeqCst),
+            executions(&world.fixture),
             2,
             "the dropped reply's retransmission must replay, not re-execute"
         );
@@ -3306,33 +2370,124 @@ mod tests {
 
     #[test]
     fn shared_world_counts_executions_across_connections() {
-        let mut world = SharedWorld::new();
-        let mut report = Report::new();
-        world.step(SharedAction::CallA, &mut report);
-        world.step(SharedAction::CallB, &mut report);
-        world.step(SharedAction::CallA, &mut report);
-        assert!(!report.has_errors(), "{}", report.render());
+        use SharedAction as S;
+        let world = world_after::<SharedModel>(&[S::CallA, S::CallB, S::CallA]);
         assert_eq!(
-            world.executions.load(std::sync::atomic::Ordering::SeqCst),
+            executions(&world.fixture),
             3,
             "each connection's calls execute exactly once on the shared server"
         );
     }
 
+    // Each invariant code fires when its oracle is handed a perturbed
+    // world, so no model's judgement is a no-op.
+
     #[test]
-    fn duplicate_without_reply_cache_would_be_caught() {
-        // Sanity that the at-most-once counter is live: dispatching the
-        // same tagged request twice directly at a fresh server must
-        // execute once and replay once.
-        let mut world = ReliableWorld::new();
-        let mut report = Report::new();
-        world.step(ReliabilityAction::DuplicateRequest, &mut report);
-        world.step(ReliabilityAction::Call, &mut report);
-        assert!(!report.has_errors(), "{}", report.render());
-        assert_eq!(
-            world.executions.load(std::sync::atomic::Ordering::SeqCst),
-            1,
-            "the duplicated request must execute exactly once"
+    fn core_model_reports_p003_for_a_diverged_twin() {
+        let mut world = world_after::<CoreModel>(&[Action::Call]);
+        corrupt_twin(&mut world.ep);
+        let report = step(&mut world, Action::Call);
+        assert!(report.has_code("NRMI-P003"), "{}", report.render());
+    }
+
+    #[test]
+    fn core_model_reports_p004_for_a_failed_call() {
+        let mut world = world_after::<CoreModel>(&[Action::Call]);
+        world.link.server.services.clear();
+        let report = step(&mut world, Action::Call);
+        assert!(report.has_code("NRMI-P004"), "{}", report.render());
+    }
+
+    #[test]
+    fn core_model_reports_p005_for_a_generation_drift() {
+        // The client forgets its second call: it will resend the
+        // generation the server already moved past.
+        let mut world = world_after::<CoreModel>(&[Action::Call, Action::Call]);
+        let mut behind = world_after::<CoreModel>(&[Action::Call]);
+        world.ep.client.warm = std::mem::take(&mut behind.ep.client.warm);
+        let report = step(&mut world, Action::MutateClient);
+        assert!(report.has_code("NRMI-P005"), "{}", report.render());
+    }
+
+    #[test]
+    fn shared_model_reports_p008_for_a_diverged_connection() {
+        use SharedAction as S;
+        let mut world = world_after::<SharedModel>(&[S::CallA, S::CallB]);
+        corrupt_twin(&mut world.eps[0]);
+        let report = step(&mut world, S::MutateB);
+        assert!(report.has_code("NRMI-P008"), "{}", report.render());
+    }
+
+    #[test]
+    fn pipelined_model_reports_p009_for_a_misrouted_value() {
+        use PipelinedAction as P;
+        let mut world = world_after::<PipelinedModel>(&[P::IssueA, P::IssueB]);
+        // Slot A's oracle (the endpoint's first tree) now expects
+        // another value than A's call computes — exactly what a reply
+        // resolved to B's call looks like from A's side.
+        corrupt_twin(&mut world.ep);
+        let report = step(&mut world, P::CollectA);
+        assert!(report.has_code("NRMI-P009"), "{}", report.render());
+    }
+
+    #[test]
+    fn reactor_model_reports_p010_for_a_reply_on_the_wrong_connection() {
+        use ReactorAction as R;
+        let mut world = world_after::<ReactorModel>(&[R::IssueA, R::IssueB, R::RunJob]);
+        let reply = world.conns[0].inbox.pop_front().expect("A's reply");
+        world.conns[1].inbox.push_back(reply);
+        let report = step(&mut world, R::CollectB);
+        assert!(report.has_code("NRMI-P010"), "{}", report.render());
+    }
+
+    #[test]
+    fn shared_graph_model_reports_p011_for_a_stale_endpoint() {
+        use SharedGraphAction as G;
+        let mut world = world_after::<SharedGraphModel>(&[G::CallA, G::CallB]);
+        corrupt_twin(&mut world.eps[0]);
+        let report = step(&mut world, G::MutateB);
+        assert!(report.has_code("NRMI-P011"), "{}", report.render());
+    }
+
+    /// A model whose every step fails.
+    struct AlwaysFails;
+
+    impl Model for AlwaysFails {
+        type Action = bool;
+        const NAME: &'static str = "always-fails";
+        const ALPHABET: &'static [bool] = &[false, true];
+        const DEPTH: usize = 2;
+
+        fn new() -> Self {
+            AlwaysFails
+        }
+
+        fn step(&mut self, _action: bool, report: &mut Report) {
+            report.push(Diagnostic::error("NRMI-P003", "always fails"));
+        }
+    }
+
+    #[test]
+    fn error_budget_stops_the_whole_enumeration_once() {
+        let report = enumerate(
+            &[
+                row::<AlwaysFails>(),
+                row::<AlwaysFails>(),
+                row::<CoreModel>(),
+            ],
+            &ModelCheckConfig {
+                depth_cap: usize::MAX,
+                max_errors: 1,
+            },
+        );
+        assert_eq!(report.counts(), (1, 1, 1), "{}", report.render());
+        assert!(
+            report
+                .diagnostics()
+                .iter()
+                .any(|d| d.message.contains("explored 1 sequences")),
+            "{}",
+            report.render()
         );
     }
 
@@ -3344,6 +2499,14 @@ mod tests {
     fn full_depth_enumeration_is_clean() {
         let report = model_check(&ModelCheckConfig::default());
         assert!(!report.has_errors(), "{}", report.render());
+        assert!(
+            report
+                .diagnostics()
+                .iter()
+                .any(|d| d.message.contains("explored 67282 sequences")),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

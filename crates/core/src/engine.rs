@@ -31,7 +31,7 @@
 //!   dropped unanswered while another execution of it is in flight,
 //!   and otherwise executed — here or on a worker — and `store`d.
 //! * **The warm arm.** Warm calls and evictions go through
-//!   [`dispatch_warm_frame`], which puts `CacheStale` pushes for this
+//!   `dispatch_warm_frame`, which puts `CacheStale` pushes for this
 //!   connection's other sessions ahead of the call's own reply; the
 //!   connection's warm sessions (and their leases) are released by
 //!   [`Connection::close`] at teardown.
@@ -42,6 +42,10 @@
 //!   execution on worker nodes (no remote-marked classes), and the
 //!   call needs no connection state; [`run_offloaded`] is the worker's
 //!   side of the same step.
+
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use nrmi_heap::Heap;
 use nrmi_transport::{Frame, Transport, TransportError};
@@ -343,25 +347,175 @@ fn is_pipelineable(frame: &Frame) -> bool {
 }
 
 /// The callback channel of steps that must never call back: worker
-/// calls are gated to need no mid-call traffic, and a host without a
-/// node executes nothing. Any use is a bug, surfaced as an in-band call
-/// error rather than a hang or a cross-thread frame steal.
-pub(crate) struct NoCallbackTransport;
+/// calls are gated to need no mid-call traffic, a host without a node
+/// executes nothing, and a [`Loopback`] has no client to call. Any use
+/// is a bug, surfaced as an in-band call error rather than a hang or a
+/// cross-thread frame steal.
+#[derive(Debug)]
+pub struct NoCallbackTransport;
 
 impl Transport for NoCallbackTransport {
     fn send(&mut self, _frame: &Frame) -> Result<(), TransportError> {
-        Err(TransportError::Io(std::io::Error::other(
-            "remote-reference callbacks cannot cross a pipelined worker",
-        )))
+        Err(no_callbacks())
     }
 
     fn recv(&mut self) -> Result<Frame, TransportError> {
-        Err(TransportError::Io(std::io::Error::other(
-            "remote-reference callbacks cannot cross a pipelined worker",
-        )))
+        Err(no_callbacks())
     }
 
-    fn recv_timeout(&mut self, _timeout: std::time::Duration) -> Result<Frame, TransportError> {
+    fn recv_timeout(&mut self, _timeout: Duration) -> Result<Frame, TransportError> {
         self.recv()
+    }
+}
+
+fn no_callbacks() -> TransportError {
+    TransportError::Io(std::io::Error::other(
+        "this engine step has no remote-reference callback channel",
+    ))
+}
+
+/// Server state a [`Loopback`] steps the engine against: anything that
+/// can lend a [`Host`] for the length of one step.
+pub trait HostState {
+    /// Runs `f` with this state as the step's host.
+    fn with_host<R>(&mut self, f: impl FnOnce(Host<'_>) -> R) -> R;
+}
+
+/// A node serving its connections itself.
+impl HostState for ServerNode {
+    fn with_host<R>(&mut self, f: impl FnOnce(Host<'_>) -> R) -> R {
+        f(Host::Node(self))
+    }
+}
+
+/// One node shared by several loopback connections, each with its own
+/// warm sessions — the shape of a node behind one lock.
+impl HostState for Arc<Mutex<ServerNode>> {
+    fn with_host<R>(&mut self, f: impl FnOnce(Host<'_>) -> R) -> R {
+        f(Host::Node(
+            &mut self.lock().expect("server node lock poisoned"),
+        ))
+    }
+}
+
+/// A pooled connection: the shared reply cache and bindings, plus the
+/// connection's private node.
+impl HostState for (Arc<SharedServer>, ServerNode) {
+    fn with_host<R>(&mut self, f: impl FnOnce(Host<'_>) -> R) -> R {
+        f(Host::Pool(&self.0, Some(&mut self.1)))
+    }
+}
+
+/// The reactor thread: the shared state and no node, so every step that
+/// would execute escalates or offloads.
+impl HostState for Arc<SharedServer> {
+    fn with_host<R>(&mut self, f: impl FnOnce(Host<'_>) -> R) -> R {
+        f(Host::Pool(self, None))
+    }
+}
+
+/// The engine's synchronous, in-process driver: one connection whose
+/// frames are stepped the moment they are sent, on the sender's thread,
+/// against server state the loopback owns. As a [`Transport`], `send`
+/// runs the step and queues every frame it appends, in wire order, and
+/// `recv` drains the queue. Every answer is queued before `send`
+/// returns, so an empty queue is a reply that will never come; `recv`
+/// reports it at once as a [`TransportError::Timeout`] instead of
+/// blocking forever.
+///
+/// Drivers that must see each [`Step`] — to run an offloaded call on a
+/// worker they schedule themselves — call [`Loopback::step`] directly.
+#[derive(Debug)]
+pub struct Loopback<S> {
+    /// The server state every step runs against.
+    pub server: S,
+    /// The connection's engine state.
+    pub conn: Connection,
+    /// Frames the steps appended that the client has not received yet,
+    /// in wire order.
+    pub queue: VecDeque<Frame>,
+}
+
+impl<S: HostState> Loopback<S> {
+    /// A loopback connection with an empty queue.
+    pub fn new(server: S, conn: Connection) -> Self {
+        Loopback {
+            server,
+            conn,
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Runs one frame through the engine and appends what it answers to
+    /// the queue.
+    ///
+    /// # Errors
+    /// [`NrmiError::Protocol`] for a frame no client may send.
+    pub fn step(&mut self, frame: Frame) -> Result<Step, NrmiError> {
+        let Loopback {
+            server,
+            conn,
+            queue,
+        } = self;
+        let mut out = Vec::new();
+        let step =
+            server.with_host(|host| conn.on_frame(host, &mut NoCallbackTransport, frame, &mut out));
+        queue.extend(out);
+        step
+    }
+
+    /// Connection teardown, as a serve loop runs it when its client goes
+    /// away: the connection's warm sessions are released and queued
+    /// frames die with it. The reply cache is the server's and survives.
+    /// The loopback then serves as a fresh connection.
+    pub fn close(&mut self) {
+        let Loopback {
+            server,
+            conn,
+            queue,
+        } = self;
+        server.with_host(|mut host| {
+            if let Some(node) = host.node() {
+                conn.close(&mut node.state.heap);
+            }
+        });
+        queue.clear();
+    }
+}
+
+impl<S: HostState + Send> Transport for Loopback<S> {
+    /// Steps `frame`. A frame the engine rejects ends the connection, as
+    /// in every serve loop, and surfaces as the send's error; a step
+    /// that must leave this thread (an offload or an escalation) has no
+    /// driver to take it here.
+    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
+        let fail = |message: String| Err(TransportError::Io(std::io::Error::other(message)));
+        match self.step(frame.clone()) {
+            Ok(Step::Continue) => Ok(()),
+            Ok(Step::Close) => {
+                self.close();
+                Ok(())
+            }
+            Ok(step) => fail(format!("a loopback connection cannot run {step:?}")),
+            Err(e) => {
+                self.close();
+                fail(e.to_string())
+            }
+        }
+    }
+
+    fn recv(&mut self) -> Result<Frame, TransportError> {
+        self.queue.pop_front().ok_or(TransportError::Timeout)
+    }
+
+    fn recv_timeout(&mut self, _timeout: Duration) -> Result<Frame, TransportError> {
+        self.recv()
+    }
+
+    /// A fresh connection to the same server: [`Loopback::close`], then
+    /// serve on.
+    fn reconnect(&mut self) -> Result<bool, TransportError> {
+        self.close();
+        Ok(true)
     }
 }

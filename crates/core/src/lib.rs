@@ -76,7 +76,7 @@ pub mod trace;
 pub mod verify;
 pub mod warm;
 
-pub use engine::{run_offloaded, Connection, Host, Step};
+pub use engine::{run_offloaded, Connection, Host, HostState, Loopback, NoCallbackTransport, Step};
 pub use error::NrmiError;
 pub use export::ExportTable;
 pub use interface::{InterfaceDef, MethodSig, ParamType, TypedService};
@@ -105,8 +105,7 @@ pub use session::{
 };
 pub use trace::{CallTrace, Tracer};
 pub use warm::{
-    client_evict_warm, client_invoke_warm_with_stats, dispatch_warm_frame, LeaseTable, WarmCaches,
-    WarmSessions,
+    client_evict_warm, client_invoke_warm_with_stats, LeaseTable, WarmCaches, WarmSessions,
 };
 
 /// Result alias for middleware operations.

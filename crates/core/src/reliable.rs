@@ -305,6 +305,12 @@ impl<T: Transport> ReliableTransport<T> {
         &self.inner
     }
 
+    /// Mutably borrows the decorated transport (e.g. to arm a fault on
+    /// an in-process link between calls).
+    pub fn inner_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
+
     /// Unwraps the decorated transport.
     pub fn into_inner(self) -> T {
         self.inner

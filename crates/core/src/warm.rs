@@ -1022,7 +1022,7 @@ fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCaches, out: &
 /// frees objects *no* session covers, so it cannot stale any session,
 /// and staleness predating the evict is pushed with the next warm
 /// call's reply.
-pub fn dispatch_warm_frame(
+pub(crate) fn dispatch_warm_frame(
     server: &mut ServerNode,
     caches: &mut WarmCaches,
     transport: &mut dyn Transport,
@@ -1314,60 +1314,19 @@ fn full_reply_fallback(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::VecDeque;
     use std::sync::Mutex;
 
     use nrmi_heap::{ClassRegistry, HeapAccess};
-    use nrmi_transport::{MachineSpec, TransportError};
+    use nrmi_transport::MachineSpec;
 
     use super::*;
+    use crate::engine::{Connection, Loopback};
     use crate::service::FnService;
 
-    /// Stands in for the (unused) callback channel of the dispatch.
-    struct Sink;
-
-    impl Transport for Sink {
-        fn send(&mut self, _frame: &Frame) -> nrmi_transport::Result<()> {
-            Ok(())
-        }
-        fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-            Err(TransportError::Disconnected)
-        }
-        fn recv_timeout(&mut self, _timeout: std::time::Duration) -> nrmi_transport::Result<Frame> {
-            Err(TransportError::Disconnected)
-        }
-    }
-
-    /// Client and server joined in process, pushes enabled: `send` runs
-    /// the frame through [`dispatch_warm_frame`] and queues everything it
-    /// returns — pushed `CacheStale` patches ahead of the reply, exactly
-    /// the order the serve loops write to the socket.
-    struct Link {
-        server: ServerNode,
-        caches: WarmCaches,
-        replies: VecDeque<Frame>,
-    }
-
-    impl Transport for Link {
-        fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-            let mut out = Vec::new();
-            dispatch_warm_frame(
-                &mut self.server,
-                &mut self.caches,
-                &mut Sink,
-                frame.clone(),
-                &mut out,
-            );
-            self.replies.extend(out);
-            Ok(())
-        }
-        fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-            self.replies.pop_front().ok_or(TransportError::Disconnected)
-        }
-        fn recv_timeout(&mut self, _timeout: std::time::Duration) -> nrmi_transport::Result<Frame> {
-            self.recv()
-        }
-    }
+    /// Client and server joined in process through the engine: pushed
+    /// `CacheStale` patches queue ahead of the reply, exactly the order
+    /// the serve loops write to the socket.
+    type Link = Loopback<ServerNode>;
 
     /// Two warm services on one node: `leak` returns its root's `data`
     /// and leaks the server-side root id; `poke` writes that leaked root
@@ -1406,7 +1365,7 @@ mod tests {
                 })),
             );
         }
-        let caches = WarmCaches::with_leases(Arc::clone(&server.leases));
+        let conn = Connection::new(WarmCaches::with_leases(Arc::clone(&server.leases)));
         let mut client = ClientNode::new(registry, MachineSpec::fast());
         let leak_root = client
             .state
@@ -1418,16 +1377,7 @@ mod tests {
             .heap
             .alloc(cell, vec![Value::Int(0)])
             .expect("alloc");
-        (
-            client,
-            Link {
-                server,
-                caches,
-                replies: VecDeque::new(),
-            },
-            leak_root,
-            poke_root,
-        )
+        (client, Loopback::new(server, conn), leak_root, poke_root)
     }
 
     fn call(
@@ -1560,7 +1510,8 @@ mod tests {
 
         // Out-of-band server-side write to the session's root...
         let server_root = link
-            .caches
+            .conn
+            .warm()
             .sync_ids_of(client.warm.cache_id("leak").expect("warm"))
             .expect("live")[0];
         link.server
@@ -1601,7 +1552,8 @@ mod tests {
         call(&mut client, &mut link, "leak", leak_root);
 
         let server_root = link
-            .caches
+            .conn
+            .warm()
             .sync_ids_of(client.warm.cache_id("leak").expect("warm"))
             .expect("live")[0];
         link.server

@@ -4,31 +4,14 @@
 //! the reactor thread with no node), mapped to the step and the frames
 //! it appends.
 
-use std::time::Duration;
-
 use nrmi_core::{
     client_marshal_call, run_offloaded, CallOptions, ClientNode, Connection, FnService, Host,
-    ReplyDecision, ServerNode, SharedServer, Step, WarmCaches,
+    NoCallbackTransport, ReplyDecision, ServerNode, SharedServer, Step, WarmCaches,
 };
 use nrmi_heap::{ClassRegistry, SharedRegistry, Value};
-use nrmi_transport::{Frame, MachineSpec, Transport, TransportError};
+use nrmi_transport::{Frame, MachineSpec};
 
 const NONCE: u64 = 7;
-
-/// The callback channel of steps whose calls never call back.
-struct NoCallbacks;
-
-impl Transport for NoCallbacks {
-    fn send(&mut self, _frame: &Frame) -> nrmi_transport::Result<()> {
-        Err(TransportError::Disconnected)
-    }
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        Err(TransportError::Disconnected)
-    }
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        Err(TransportError::Disconnected)
-    }
-}
 
 #[derive(Clone, Copy, Debug)]
 enum HostKind {
@@ -160,7 +143,7 @@ fn run(host_kind: HostKind, frame: Frame, decision: Decision) -> String {
         ),
     };
     let mut out = Vec::new();
-    let step = match conn.on_frame(host, &mut NoCallbacks, frame, &mut out) {
+    let step = match conn.on_frame(host, &mut NoCallbackTransport, frame, &mut out) {
         Ok(Step::Continue) => "Continue".to_owned(),
         Ok(Step::Offload { seq: s, .. }) => {
             assert_eq!(s, seq);

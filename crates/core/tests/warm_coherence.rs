@@ -17,19 +17,17 @@
 //! `CacheMiss` + reseed (the allocation stamp, not the version number,
 //! catches it), never a repair patch shipping a stranger object.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use proptest::prelude::*;
 
 use nrmi_core::{
-    client_evict_warm, client_invoke_warm_with_stats, dispatch_warm_frame, ClientNode, FnService,
+    client_evict_warm, client_invoke_warm_with_stats, ClientNode, Connection, FnService, Loopback,
     NrmiError, RemoteService, ServerNode, Session, WarmCaches,
 };
 use nrmi_heap::graph::isomorphic;
 use nrmi_heap::{ClassRegistry, Heap, HeapAccess, ObjId, SharedRegistry, Value};
-use nrmi_transport::{Frame, MachineSpec, Transport, TransportError};
+use nrmi_transport::MachineSpec;
 
 // ---------------------------------------------------------------------------
 // warm ≡ cold
@@ -240,49 +238,9 @@ proptest! {
 // Writers vs. readers on one shared server graph
 // ---------------------------------------------------------------------------
 
-/// Stands in for the (unused) callback channel of the dispatch.
-struct Sink;
-
-impl Transport for Sink {
-    fn send(&mut self, _frame: &Frame) -> nrmi_transport::Result<()> {
-        Ok(())
-    }
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        Err(TransportError::Disconnected)
-    }
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        Err(TransportError::Disconnected)
-    }
-}
-
-/// Client and server joined in process with pushes enabled, exactly the
-/// frame order the serve loops produce.
-struct Link {
-    server: ServerNode,
-    caches: WarmCaches,
-    replies: VecDeque<Frame>,
-}
-
-impl Transport for Link {
-    fn send(&mut self, frame: &Frame) -> nrmi_transport::Result<()> {
-        let mut out = Vec::new();
-        dispatch_warm_frame(
-            &mut self.server,
-            &mut self.caches,
-            &mut Sink,
-            frame.clone(),
-            &mut out,
-        );
-        self.replies.extend(out);
-        Ok(())
-    }
-    fn recv(&mut self) -> nrmi_transport::Result<Frame> {
-        self.replies.pop_front().ok_or(TransportError::Disconnected)
-    }
-    fn recv_timeout(&mut self, _timeout: Duration) -> nrmi_transport::Result<Frame> {
-        self.recv()
-    }
-}
+/// Client and server joined in process through the engine, pushes
+/// queued ahead of the reply exactly as the serve loops write them.
+type Link = Loopback<ServerNode>;
 
 /// The reader/writer world: service `read` returns its root's `data`
 /// and leaks the server-side root id; service `write` adds `args[1]`…
@@ -347,11 +305,7 @@ fn rw_world(initial: i32) -> RwWorld {
         .expect("alloc");
     RwWorld {
         client,
-        link: Link {
-            server,
-            caches,
-            replies: VecDeque::new(),
-        },
+        link: Loopback::new(server, Connection::new(caches)),
         read_root,
         write_root,
         leaked,
@@ -452,7 +406,7 @@ proptest! {
                 RwAction::WriteDirect(k) => {
                     if live {
                         if let Some(cache_id) = w.client.warm.cache_id("read") {
-                            if let Some(sync) = w.link.caches.sync_ids_of(cache_id) {
+                            if let Some(sync) = w.link.conn.warm().sync_ids_of(cache_id) {
                                 let id = sync[0];
                                 let d = w
                                     .link
@@ -536,7 +490,7 @@ fn recycled_slot_degrades_to_miss_and_reseed() {
 
     // Free the synchronized server-side root and recycle its slot with
     // an innocent object of the same class.
-    let server_root = w.link.caches.sync_ids_of(first_id).expect("live")[0];
+    let server_root = w.link.conn.warm().sync_ids_of(first_id).expect("live")[0];
     let class = w
         .link
         .server
@@ -595,7 +549,7 @@ fn stale_versions_increase_monotonically_across_repairs() {
 
     let mut seen = Vec::new();
     for round in 0..3 {
-        let server_root = w.link.caches.sync_ids_of(cache_id).expect("live")[0];
+        let server_root = w.link.conn.warm().sync_ids_of(cache_id).expect("live")[0];
         w.link
             .server
             .state
