@@ -1,11 +1,12 @@
-//! In-process client/server sessions: the main entry point for
+//! Client sessions and serve loops: the main entry point for
 //! applications, tests, and benchmarks.
 //!
-//! A [`Session`] spawns the server on its own thread, connected to the
-//! client by an in-process channel transport (optionally accounting
-//! simulated time). TCP helpers ([`serve_tcp`], [`Session::connect_tcp`])
-//! run the identical protocol across real sockets for genuine
-//! distribution.
+//! A [`Session`] is one client over any transport. [`Session::builder`]
+//! spawns the server on its own thread, connected to the client by an
+//! in-process channel transport (optionally accounting simulated time);
+//! [`Session::connect_tcp`] and friends run the identical protocol across
+//! real sockets for genuine distribution, served by [`serve_tcp`] or a
+//! [`ServerPool`].
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -13,6 +14,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use nrmi_heap::{DenseObjSet, Heap, LinearMap, ObjId, SharedRegistry, Value};
+#[cfg(unix)]
+use nrmi_transport::UdsTransport;
 use nrmi_transport::{
     channel_pair, ChannelTransport, Frame, LinkSpec, Listener, MachineSpec, SimEnv,
     TcpListenerTransport, TcpTransport, Transport, TransportError,
@@ -26,6 +29,7 @@ use crate::protocol::{
     client_invoke_on_object_with_stats, client_invoke_pipelined, client_invoke_with_stats,
     serve_connection, CallStats, PipelinedCall,
 };
+use crate::reliable::{ReliableTransport, RetryPolicy};
 use crate::semantics::CallOptions;
 use crate::service::RemoteService;
 
@@ -119,13 +123,18 @@ impl SessionBuilder {
         Session {
             client,
             transport: client_t,
-            server_thread: Some(handle),
             tracer: crate::trace::Tracer::new(),
+            server_thread: Some(handle),
         }
     }
 }
 
-/// A connected client with its in-process server.
+/// A connected client: its node, the transport to its server, a call
+/// log, and — for the in-process pair [`Session::builder`] launches —
+/// the server's thread. Every call, warm, pipelined, lookup, DGC and
+/// tracing method works the same over any [`Transport`]: an in-process
+/// channel (the default), TCP ([`TcpSession`]), a Unix-domain socket, or
+/// a decorator such as [`ReliableTransport`](crate::reliable::ReliableTransport).
 ///
 /// ```
 /// use nrmi_core::{FnService, Session};
@@ -147,17 +156,27 @@ impl SessionBuilder {
 /// # Ok(())
 /// # }
 /// ```
-pub struct Session {
+pub struct Session<T: Transport = ChannelTransport> {
     client: ClientNode,
-    transport: ChannelTransport,
-    server_thread: Option<JoinHandle<(ServerNode, Result<(), NrmiError>)>>,
+    transport: T,
     tracer: crate::trace::Tracer,
+    /// The in-process server [`Session::builder`] launched; `None` when
+    /// the server runs elsewhere.
+    server_thread: Option<JoinHandle<(ServerNode, Result<(), NrmiError>)>>,
 }
 
-impl std::fmt::Debug for Session {
+/// A client connected over an arbitrary [`Transport`] (the same type as
+/// [`Session`]).
+pub type RemoteSession<T> = Session<T>;
+
+/// A client connected over TCP.
+pub type TcpSession = Session<TcpTransport>;
+
+impl<T: Transport> std::fmt::Debug for Session<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("client", &self.client)
+            .field("in_process", &self.server_thread.is_some())
             .finish()
     }
 }
@@ -177,6 +196,108 @@ impl Session {
         }
     }
 
+    /// Connects a TCP client to a server reachable at `addr`.
+    ///
+    /// # Errors
+    /// Socket failures.
+    pub fn connect_tcp(
+        registry: SharedRegistry,
+        addr: impl std::net::ToSocketAddrs,
+    ) -> Result<TcpSession, NrmiError> {
+        Ok(Session::over(registry, TcpTransport::connect(addr)?))
+    }
+
+    /// Connects a TCP client with at-most-once call delivery: every call
+    /// is stamped with a call id and retried per `policy` — the server
+    /// suppresses duplicates from its reply cache, and lost connections
+    /// re-dial transparently.
+    ///
+    /// # Errors
+    /// Socket failures.
+    pub fn connect_tcp_reliable(
+        registry: SharedRegistry,
+        addr: impl std::net::ToSocketAddrs,
+        policy: RetryPolicy,
+    ) -> Result<Session<ReliableTransport<TcpTransport>>, NrmiError> {
+        let transport = TcpTransport::connect(addr)?;
+        Ok(Session::over(
+            registry,
+            ReliableTransport::new(transport, policy),
+        ))
+    }
+
+    /// Connects over a Unix-domain socket at `path`.
+    ///
+    /// # Errors
+    /// Socket failures.
+    #[cfg(unix)]
+    pub fn connect_uds(
+        registry: SharedRegistry,
+        path: impl AsRef<std::path::Path>,
+    ) -> Result<Session<UdsTransport>, NrmiError> {
+        Ok(Session::over(registry, UdsTransport::connect(path)?))
+    }
+
+    /// Connects over a Unix-domain socket with at-most-once call
+    /// delivery (see [`Session::connect_tcp_reliable`]).
+    ///
+    /// # Errors
+    /// Socket failures.
+    #[cfg(unix)]
+    pub fn connect_uds_reliable(
+        registry: SharedRegistry,
+        path: impl AsRef<std::path::Path>,
+        policy: RetryPolicy,
+    ) -> Result<Session<ReliableTransport<UdsTransport>>, NrmiError> {
+        let transport = UdsTransport::connect(path)?;
+        Ok(Session::over(
+            registry,
+            ReliableTransport::new(transport, policy),
+        ))
+    }
+
+    /// Shuts the server down and returns its final state for inspection
+    /// (tests assert on server heaps, export tables, and statistics).
+    ///
+    /// # Errors
+    /// [`NrmiError::InvalidArgument`] for a session [`Session::over`] a
+    /// channel, which has no server thread; transport failures during
+    /// shutdown; a panicked server thread; the error that ended the
+    /// serve loop, if it ended on one (a protocol violation mid-session
+    /// would otherwise be silently discarded — the pooled path surfaces
+    /// worker failures the same way).
+    pub fn shutdown(mut self) -> Result<ServerNode, NrmiError> {
+        let Some(handle) = self.server_thread.take() else {
+            return Err(NrmiError::InvalidArgument(
+                "the session has no in-process server".into(),
+            ));
+        };
+        // If the serve loop already ended (say, on a protocol error),
+        // the channel is closed and this send fails; hold the result so
+        // the serve error below isn't masked by the failed goodbye.
+        let sent = self.transport.send(&Frame::Shutdown);
+        match handle.join() {
+            Ok((node, Ok(()))) => {
+                sent?;
+                Ok(node)
+            }
+            Ok((_, Err(e))) => Err(e),
+            Err(_) => Err(NrmiError::Protocol("server thread panicked".into())),
+        }
+    }
+}
+
+impl<T: Transport> Session<T> {
+    /// Wraps an already-connected transport as a client session.
+    pub fn over(registry: SharedRegistry, transport: T) -> Self {
+        Session {
+            client: ClientNode::new(registry, MachineSpec::fast()),
+            transport,
+            tracer: crate::trace::Tracer::new(),
+            server_thread: None,
+        }
+    }
+
     /// The client-side heap (where applications build argument graphs).
     pub fn heap(&mut self) -> &mut Heap {
         &mut self.client.state.heap
@@ -185,6 +306,30 @@ impl Session {
     /// The client node (heap plus export/stub tables).
     pub fn client(&mut self) -> &mut ClientNode {
         &mut self.client
+    }
+
+    /// Runs one invocation, recording it in the call log when tracing is
+    /// on (the clock is read only then).
+    fn traced(
+        &mut self,
+        target: impl FnOnce() -> String,
+        options: CallOptions,
+        invoke: impl FnOnce(
+            &mut ClientNode,
+            &mut dyn Transport,
+        ) -> Result<(Value, CallStats), NrmiError>,
+    ) -> Result<(Value, CallStats), NrmiError> {
+        let started = self.tracer.is_enabled().then(std::time::Instant::now);
+        let result = invoke(&mut self.client, &mut self.transport);
+        if let Some(started) = started {
+            let (error, stats) = match &result {
+                Ok((_, stats)) => (None, *stats),
+                Err(e) => (Some(e.to_string()), CallStats::default()),
+            };
+            self.tracer
+                .record(target(), options, error, stats, started.elapsed());
+        }
+        result
     }
 
     /// Invokes a remote method with marker-driven semantics
@@ -228,29 +373,13 @@ impl Session {
         args: &[Value],
         opts: CallOptions,
     ) -> Result<(Value, CallStats), NrmiError> {
-        let started = std::time::Instant::now();
-        let result = client_invoke_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            service,
-            method,
-            args,
+        self.traced(
+            || format!("{service}.{method}"),
             opts,
-        );
-        if self.tracer.is_enabled() {
-            let (error, stats) = match &result {
-                Ok((_, stats)) => (None, *stats),
-                Err(e) => (Some(e.to_string()), CallStats::default()),
-            };
-            self.tracer.record(
-                format!("{service}.{method}"),
-                opts,
-                error,
-                stats,
-                started.elapsed(),
-            );
-        }
-        result
+            |client, transport| {
+                client_invoke_with_stats(client, transport, service, method, args, opts)
+            },
+        )
     }
 
     /// Issues a batch of calls back to back on the connection before
@@ -258,7 +387,9 @@ impl Session {
     /// latency is paid for the whole batch instead of per call. Results
     /// come back in issue order, each slot carrying its own outcome
     /// (a remote exception or per-call deadline failure in one slot
-    /// does not poison its neighbors).
+    /// does not poison its neighbors). Over a reliable transport the
+    /// batch is multiplexed by call id, so replies may complete out of
+    /// order on the wire and are still delivered in issue order here.
     ///
     /// Remote-reference calls cannot be batched (their mid-call
     /// callbacks interleave with the reply stream); see
@@ -305,28 +436,13 @@ impl Session {
         method: &str,
         args: &[Value],
     ) -> Result<(Value, CallStats), NrmiError> {
-        let started = std::time::Instant::now();
-        let result = crate::warm::client_invoke_warm_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            service,
-            method,
-            args,
-        );
-        if self.tracer.is_enabled() {
-            let (error, stats) = match &result {
-                Ok((_, stats)) => (None, *stats),
-                Err(e) => (Some(e.to_string()), CallStats::default()),
-            };
-            self.tracer.record(
-                format!("{service}.{method}"),
-                CallOptions::copy_restore_delta(),
-                error,
-                stats,
-                started.elapsed(),
-            );
-        }
-        result
+        self.traced(
+            || format!("{service}.{method}"),
+            CallOptions::copy_restore_delta(),
+            |client, transport| {
+                crate::warm::client_invoke_warm_with_stats(client, transport, service, method, args)
+            },
+        )
     }
 
     /// Retires the warm session for `service`: drops the client cache
@@ -390,29 +506,14 @@ impl Session {
         args: &[Value],
         opts: CallOptions,
     ) -> Result<Value, NrmiError> {
-        let started = std::time::Instant::now();
-        let result = client_invoke_on_object_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            stub,
-            method,
-            args,
+        self.traced(
+            || format!("{stub}.{method}"),
             opts,
-        );
-        if self.tracer.is_enabled() {
-            let (error, stats) = match &result {
-                Ok((_, stats)) => (None, *stats),
-                Err(e) => (Some(e.to_string()), CallStats::default()),
-            };
-            self.tracer.record(
-                format!("{stub}.{method}"),
-                opts,
-                error,
-                stats,
-                started.elapsed(),
-            );
-        }
-        result.map(|(v, _)| v)
+            |client, transport| {
+                client_invoke_on_object_with_stats(client, transport, stub, method, args, opts)
+            },
+        )
+        .map(|(v, _)| v)
     }
 
     /// Queries the server's registry for `name` (the `Naming.lookup`
@@ -490,32 +591,18 @@ impl Session {
         Ok((freed, cleans))
     }
 
-    /// Shuts the server down and returns its final state for inspection
-    /// (tests assert on server heaps, export tables, and statistics).
+    /// Ends the connection (a remote server moves on to its next
+    /// client).
     ///
     /// # Errors
-    /// Transport failures during shutdown; a panicked server thread; the
-    /// error that ended the serve loop, if it ended on one (a protocol
-    /// violation mid-session would otherwise be silently discarded —
-    /// the pooled path surfaces worker failures the same way).
-    pub fn shutdown(mut self) -> Result<ServerNode, NrmiError> {
-        // If the serve loop already ended (say, on a protocol error),
-        // the channel is closed and this send fails; hold the result so
-        // the serve error below isn't masked by the failed goodbye.
-        let sent = self.transport.send(&Frame::Shutdown);
-        let handle = self.server_thread.take().expect("shutdown called once");
-        match handle.join() {
-            Ok((node, Ok(()))) => {
-                sent?;
-                Ok(node)
-            }
-            Ok((_, Err(e))) => Err(e),
-            Err(_) => Err(NrmiError::Protocol("server thread panicked".into())),
-        }
+    /// Transport failures.
+    pub fn close(mut self) -> Result<(), NrmiError> {
+        self.transport.send(&Frame::Shutdown)?;
+        Ok(())
     }
 }
 
-impl Drop for Session {
+impl<T: Transport> Drop for Session<T> {
     fn drop(&mut self) {
         if let Some(handle) = self.server_thread.take() {
             let _ = self.transport.send(&Frame::Shutdown);
@@ -636,79 +723,57 @@ impl ServerPool {
     where
         L: Listener + Send + 'static,
     {
-        let shared = Arc::new(crate::server::SharedServer::from_node(server));
-        let stop = Arc::new(AtomicBool::new(false));
-        let live = Arc::new(AtomicUsize::new(0));
-        let served = Arc::new(AtomicUsize::new(0));
-        let workers: Arc<TrackedMutex<Vec<JoinHandle<()>>>> =
-            Arc::new(TrackedMutex::new(LockClass::Control, Vec::new()));
-        let accept_error: Arc<TrackedMutex<Option<String>>> =
-            Arc::new(TrackedMutex::new(LockClass::Control, None));
-
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            let live = Arc::clone(&live);
-            let served = Arc::clone(&served);
-            let workers = Arc::clone(&workers);
-            let accept_error = Arc::clone(&accept_error);
-            std::thread::spawn(move || -> Result<(), NrmiError> {
-                let mut accepted = 0usize;
-                loop {
-                    if stop.load(Ordering::SeqCst) {
-                        return Ok(());
+        let mut handle = ServeHandle::new(server);
+        let shared = handle.shared();
+        let stop = Arc::clone(&handle.stop);
+        let live = Arc::clone(&handle.live);
+        let served = Arc::clone(&handle.served);
+        let workers = Arc::clone(&handle.workers);
+        let accept_error = Arc::clone(&handle.accept_error);
+        handle.accept_thread = Some(std::thread::spawn(move || -> Result<(), NrmiError> {
+            let mut accepted = 0usize;
+            loop {
+                if stop.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+                if self.max_total.is_some_and(|n| accepted >= n) {
+                    return Ok(());
+                }
+                if live.load(Ordering::SeqCst) >= self.max_live {
+                    std::thread::sleep(ACCEPT_POLL);
+                    continue;
+                }
+                match listener.accept_timeout(ACCEPT_POLL) {
+                    Ok(mut transport) => {
+                        accepted += 1;
+                        served.fetch_add(1, Ordering::SeqCst);
+                        live.fetch_add(1, Ordering::SeqCst);
+                        let shared = Arc::clone(&shared);
+                        let live = Arc::clone(&live);
+                        let worker = std::thread::spawn(move || {
+                            // Decrement on every exit path, panics
+                            // included, so the accept loop's cap
+                            // can't wedge.
+                            let _guard = LiveGuard(live);
+                            let _ = crate::server::serve_connection_pooled(&shared, &mut transport);
+                        });
+                        workers.lock().push(worker);
                     }
-                    if self.max_total.is_some_and(|n| accepted >= n) {
-                        return Ok(());
-                    }
-                    if live.load(Ordering::SeqCst) >= self.max_live {
-                        std::thread::sleep(ACCEPT_POLL);
-                        continue;
-                    }
-                    match listener.accept_timeout(ACCEPT_POLL) {
-                        Ok(mut transport) => {
-                            accepted += 1;
-                            served.fetch_add(1, Ordering::SeqCst);
-                            live.fetch_add(1, Ordering::SeqCst);
-                            let shared = Arc::clone(&shared);
-                            let live = Arc::clone(&live);
-                            let worker = std::thread::spawn(move || {
-                                // Decrement on every exit path, panics
-                                // included, so the accept loop's cap
-                                // can't wedge.
-                                let _guard = LiveGuard(live);
-                                let _ =
-                                    crate::server::serve_connection_pooled(&shared, &mut transport);
-                            });
-                            workers.lock().push(worker);
-                        }
-                        Err(TransportError::Timeout) => continue,
-                        Err(e) => {
-                            // An accept failure ends only the accept
-                            // loop; live connections keep running. The
-                            // message is visible immediately via
-                            // `ServeHandle::accept_error`, the error
-                            // itself from `join`/`shutdown`.
-                            let err = NrmiError::from(e);
-                            *accept_error.lock() = Some(err.to_string());
-                            return Err(err);
-                        }
+                    Err(TransportError::Timeout) => continue,
+                    Err(e) => {
+                        // An accept failure ends only the accept
+                        // loop; live connections keep running. The
+                        // message is visible immediately via
+                        // `ServeHandle::accept_error`, the error
+                        // itself from `join`/`shutdown`.
+                        let err = NrmiError::from(e);
+                        *accept_error.lock() = Some(err.to_string());
+                        return Err(err);
                     }
                 }
-            })
-        };
-
-        ServeHandle {
-            shared: Some(shared),
-            stop,
-            accept_thread: Some(accept_thread),
-            accept_error,
-            workers,
-            live,
-            served,
-            #[cfg(unix)]
-            waker: None,
-        }
+            }
+        }));
+        handle
     }
 
     /// Launches the **reactor** serve core instead of a thread per
@@ -735,45 +800,25 @@ impl ServerPool {
         L: nrmi_transport::PollableListener + Send + 'static,
         L::Conn: nrmi_transport::ReactorIo + Send + 'static,
     {
-        let shared = Arc::new(crate::server::SharedServer::from_node(server));
-        let stop = Arc::new(AtomicBool::new(false));
-        let live = Arc::new(AtomicUsize::new(0));
-        let served = Arc::new(AtomicUsize::new(0));
-        let workers: Arc<TrackedMutex<Vec<JoinHandle<()>>>> =
-            Arc::new(TrackedMutex::new(LockClass::Control, Vec::new()));
-        let accept_error: Arc<TrackedMutex<Option<String>>> =
-            Arc::new(TrackedMutex::new(LockClass::Control, None));
-
         let poller = nrmi_transport::Poller::new()?;
-        let waker = poller.waker();
+        let mut handle = ServeHandle::new(server);
+        handle.waker = Some(poller.waker());
         let config = crate::reactor::ReactorConfig {
             max_live: self.max_live,
             max_total: self.max_total,
         };
         let ctl = crate::reactor::ReactorShared {
-            stop: Arc::clone(&stop),
-            live: Arc::clone(&live),
-            served: Arc::clone(&served),
-            escalated: Arc::clone(&workers),
-            accept_error: Arc::clone(&accept_error),
+            stop: Arc::clone(&handle.stop),
+            live: Arc::clone(&handle.live),
+            served: Arc::clone(&handle.served),
+            escalated: Arc::clone(&handle.workers),
+            accept_error: Arc::clone(&handle.accept_error),
         };
-        let reactor_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                crate::reactor::run_reactor(shared, listener, poller, config, ctl)
-            })
-        };
-
-        Ok(ServeHandle {
-            shared: Some(shared),
-            stop,
-            accept_thread: Some(reactor_thread),
-            accept_error,
-            workers,
-            live,
-            served,
-            waker: Some(waker),
-        })
+        let shared = handle.shared();
+        handle.accept_thread = Some(std::thread::spawn(move || {
+            crate::reactor::run_reactor(shared, listener, poller, config, ctl)
+        }));
+        Ok(handle)
     }
 }
 
@@ -807,6 +852,25 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
+    /// A handle over `server`'s shared state, with nothing serving yet.
+    fn new(server: ServerNode) -> Self {
+        ServeHandle {
+            shared: Some(Arc::new(crate::server::SharedServer::from_node(server))),
+            stop: Arc::default(),
+            accept_thread: None,
+            accept_error: Arc::new(TrackedMutex::new(LockClass::Control, None)),
+            workers: Arc::new(TrackedMutex::new(LockClass::Control, Vec::new())),
+            live: Arc::default(),
+            served: Arc::default(),
+            #[cfg(unix)]
+            waker: None,
+        }
+    }
+
+    fn shared(&self) -> Arc<crate::server::SharedServer> {
+        Arc::clone(self.shared.as_ref().expect("shared until finish"))
+    }
+
     /// Connections currently being served.
     pub fn live_connections(&self) -> usize {
         self.live.load(Ordering::SeqCst)
@@ -899,242 +963,6 @@ impl Drop for ServeHandle {
         if let Some(waker) = &self.waker {
             waker.wake();
         }
-    }
-}
-
-/// A client connected over an arbitrary [`Transport`] — the generic twin
-/// of [`Session`] for real sockets (TCP, Unix-domain) or custom pipes.
-pub struct RemoteSession<T: Transport> {
-    client: ClientNode,
-    transport: T,
-}
-
-/// A client connected over TCP.
-pub type TcpSession = RemoteSession<TcpTransport>;
-
-impl<T: Transport> std::fmt::Debug for RemoteSession<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteSession").finish()
-    }
-}
-
-impl Session {
-    /// Connects a TCP client to a server reachable at `addr`.
-    ///
-    /// # Errors
-    /// Socket failures.
-    pub fn connect_tcp(
-        registry: SharedRegistry,
-        addr: impl std::net::ToSocketAddrs,
-    ) -> Result<TcpSession, NrmiError> {
-        let transport = TcpTransport::connect(addr)?;
-        Ok(RemoteSession::over(registry, transport))
-    }
-
-    /// Connects a TCP client with at-most-once call delivery: every call
-    /// is stamped with a call id and retried per `policy` — the server
-    /// suppresses duplicates from its reply cache, and lost connections
-    /// re-dial transparently.
-    ///
-    /// # Errors
-    /// Socket failures.
-    pub fn connect_tcp_reliable(
-        registry: SharedRegistry,
-        addr: impl std::net::ToSocketAddrs,
-        policy: crate::reliable::RetryPolicy,
-    ) -> Result<RemoteSession<crate::reliable::ReliableTransport<TcpTransport>>, NrmiError> {
-        let transport = TcpTransport::connect(addr)?;
-        Ok(RemoteSession::over(
-            registry,
-            crate::reliable::ReliableTransport::new(transport, policy),
-        ))
-    }
-
-    /// Connects over a Unix-domain socket with at-most-once call
-    /// delivery (see [`Session::connect_tcp_reliable`]).
-    ///
-    /// # Errors
-    /// Socket failures.
-    #[cfg(unix)]
-    pub fn connect_uds_reliable(
-        registry: SharedRegistry,
-        path: impl AsRef<std::path::Path>,
-        policy: crate::reliable::RetryPolicy,
-    ) -> Result<
-        RemoteSession<crate::reliable::ReliableTransport<nrmi_transport::UdsTransport>>,
-        NrmiError,
-    > {
-        let transport = nrmi_transport::UdsTransport::connect(path)?;
-        Ok(RemoteSession::over(
-            registry,
-            crate::reliable::ReliableTransport::new(transport, policy),
-        ))
-    }
-
-    /// Connects over a Unix-domain socket at `path`.
-    ///
-    /// # Errors
-    /// Socket failures.
-    #[cfg(unix)]
-    pub fn connect_uds(
-        registry: SharedRegistry,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<RemoteSession<nrmi_transport::UdsTransport>, NrmiError> {
-        let transport = nrmi_transport::UdsTransport::connect(path)?;
-        Ok(RemoteSession::over(registry, transport))
-    }
-}
-
-impl<T: Transport> RemoteSession<T> {
-    /// Wraps an already-connected transport as a client session.
-    pub fn over(registry: SharedRegistry, transport: T) -> Self {
-        RemoteSession {
-            client: ClientNode::new(registry, MachineSpec::fast()),
-            transport,
-        }
-    }
-
-    /// The client-side heap.
-    pub fn heap(&mut self) -> &mut Heap {
-        &mut self.client.state.heap
-    }
-
-    /// The client node (heap plus export/stub tables).
-    pub fn client(&mut self) -> &mut ClientNode {
-        &mut self.client
-    }
-
-    /// Invokes a remote method with marker-driven semantics.
-    ///
-    /// # Errors
-    /// As [`Session::call`].
-    pub fn call(
-        &mut self,
-        service: &str,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, NrmiError> {
-        self.call_with(service, method, args, CallOptions::auto())
-    }
-
-    /// Invokes a remote method with explicit options.
-    ///
-    /// # Errors
-    /// As [`Session::call`].
-    pub fn call_with(
-        &mut self,
-        service: &str,
-        method: &str,
-        args: &[Value],
-        opts: CallOptions,
-    ) -> Result<Value, NrmiError> {
-        client_invoke_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            service,
-            method,
-            args,
-            opts,
-        )
-        .map(|(v, _)| v)
-    }
-
-    /// Issues a batch of calls back to back before collecting any reply
-    /// (see [`Session::call_pipelined`]). Over a reliable transport the
-    /// batch is multiplexed by call id, so replies may complete out of
-    /// order on the wire and are still delivered in issue order here.
-    ///
-    /// # Errors
-    /// As [`Session::call_pipelined`].
-    pub fn call_pipelined(
-        &mut self,
-        calls: &[PipelinedCall],
-    ) -> Result<Vec<Result<Value, NrmiError>>, NrmiError> {
-        client_invoke_pipelined(&mut self.client, &mut self.transport, calls)
-    }
-
-    /// Invokes a method on a remote object this client holds a stub for.
-    ///
-    /// # Errors
-    /// As [`Session::call_on`].
-    pub fn call_on(
-        &mut self,
-        stub: ObjId,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, NrmiError> {
-        client_invoke_on_object_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            stub,
-            method,
-            args,
-            CallOptions::auto(),
-        )
-        .map(|(v, _)| v)
-    }
-
-    /// Invokes a remote method through the warm-call protocol
-    /// (see [`Session::call_warm`]).
-    ///
-    /// # Errors
-    /// As [`Session::call_warm`].
-    pub fn call_warm(
-        &mut self,
-        service: &str,
-        method: &str,
-        args: &[Value],
-    ) -> Result<Value, NrmiError> {
-        crate::warm::client_invoke_warm_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            service,
-            method,
-            args,
-        )
-        .map(|(v, _)| v)
-    }
-
-    /// [`RemoteSession::call_warm`] returning per-call statistics.
-    ///
-    /// # Errors
-    /// As [`Session::call_warm`].
-    pub fn call_warm_with_stats(
-        &mut self,
-        service: &str,
-        method: &str,
-        args: &[Value],
-    ) -> Result<(Value, CallStats), NrmiError> {
-        crate::warm::client_invoke_warm_with_stats(
-            &mut self.client,
-            &mut self.transport,
-            service,
-            method,
-            args,
-        )
-    }
-
-    /// Retires the warm session for `service`
-    /// (see [`Session::evict_warm`]).
-    ///
-    /// # Errors
-    /// Transport failures sending the eviction notice.
-    pub fn evict_warm(&mut self, service: &str) -> Result<(), NrmiError> {
-        crate::warm::client_evict_warm(&mut self.client, &mut self.transport, service)
-    }
-
-    /// The generation the next warm call to `service` will carry.
-    pub fn warm_generation(&self, service: &str) -> Option<u64> {
-        self.client.warm.generation(service)
-    }
-
-    /// Ends the connection (the server moves on to its next client).
-    ///
-    /// # Errors
-    /// Socket failures.
-    pub fn close(mut self) -> Result<(), NrmiError> {
-        self.transport.send(&Frame::Shutdown)?;
-        Ok(())
     }
 }
 

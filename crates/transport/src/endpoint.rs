@@ -216,17 +216,15 @@ pub trait PollableListener: Listener {
 /// frame charges the simulated network with its encoded size — the same
 /// accounting a real link would see.
 pub struct ChannelTransport {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    env: Option<SimEnv>,
-    link: LinkSpec,
+    tx: ChannelSender,
+    rx: ChannelReceiver,
 }
 
 impl std::fmt::Debug for ChannelTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChannelTransport")
-            .field("link", &self.link)
-            .field("simulated", &self.env.is_some())
+            .field("link", &self.tx.link)
+            .field("simulated", &self.tx.env.is_some())
             .finish()
     }
 }
@@ -236,46 +234,24 @@ impl std::fmt::Debug for ChannelTransport {
 pub fn channel_pair(env: Option<SimEnv>, link: LinkSpec) -> (ChannelTransport, ChannelTransport) {
     let (atx, brx) = mpsc::channel();
     let (btx, arx) = mpsc::channel();
-    (
-        ChannelTransport {
-            tx: atx,
-            rx: arx,
-            env: env.clone(),
-            link,
-        },
-        ChannelTransport {
-            tx: btx,
-            rx: brx,
-            env,
-            link,
-        },
-    )
+    let end = |tx, rx, env| ChannelTransport {
+        tx: ChannelSender { tx, env, link },
+        rx: ChannelReceiver(rx),
+    };
+    (end(atx, arx, env.clone()), end(btx, brx, env))
 }
 
 impl Transport for ChannelTransport {
     fn send(&mut self, frame: &Frame) -> Result<()> {
-        let bytes = frame.encode();
-        if let Some(env) = &self.env {
-            env.charge_transfer(&self.link, bytes.len());
-        }
-        self.tx
-            .send(bytes)
-            .map_err(|_| TransportError::Disconnected)
+        self.tx.send(frame)
     }
 
     fn recv(&mut self) -> Result<Frame> {
-        crate::blocking::blocking_region("channel.recv");
-        let bytes = self.rx.recv().map_err(|_| TransportError::Disconnected)?;
-        Frame::decode(&bytes)
+        self.rx.recv()
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame> {
-        crate::blocking::blocking_region("channel.recv_timeout");
-        let bytes = self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TransportError::Timeout,
-            RecvTimeoutError::Disconnected => TransportError::Disconnected,
-        })?;
-        Frame::decode(&bytes)
+        self.rx.recv_timeout(timeout)
     }
 
     fn split(&mut self) -> Option<(Box<dyn TransportSender>, Box<dyn TransportReceiver>)> {
@@ -284,24 +260,20 @@ impl Transport for ChannelTransport {
         // reports Disconnected instead of silently stealing frames.
         let (dead_tx, dead_rx) = mpsc::channel();
         drop(dead_tx);
-        let rx = std::mem::replace(&mut self.rx, dead_rx);
-        let sender = ChannelSenderHalf {
-            tx: self.tx.clone(),
-            env: self.env.clone(),
-            link: self.link,
-        };
-        Some((Box::new(sender), Box::new(ChannelReceiverHalf { rx })))
+        let rx = std::mem::replace(&mut self.rx, ChannelReceiver(dead_rx));
+        Some((Box::new(self.tx.clone()), Box::new(rx)))
     }
 }
 
-/// Write half of a split [`ChannelTransport`].
-struct ChannelSenderHalf {
+/// The send side of a [`ChannelTransport`], and its split write half.
+#[derive(Clone)]
+struct ChannelSender {
     tx: Sender<Vec<u8>>,
     env: Option<SimEnv>,
     link: LinkSpec,
 }
 
-impl TransportSender for ChannelSenderHalf {
+impl TransportSender for ChannelSender {
     fn send(&mut self, frame: &Frame) -> Result<()> {
         let bytes = frame.encode();
         if let Some(env) = &self.env {
@@ -313,21 +285,19 @@ impl TransportSender for ChannelSenderHalf {
     }
 }
 
-/// Read half of a split [`ChannelTransport`].
-struct ChannelReceiverHalf {
-    rx: Receiver<Vec<u8>>,
-}
+/// The receive side of a [`ChannelTransport`], and its split read half.
+struct ChannelReceiver(Receiver<Vec<u8>>);
 
-impl TransportReceiver for ChannelReceiverHalf {
+impl TransportReceiver for ChannelReceiver {
     fn recv(&mut self) -> Result<Frame> {
         crate::blocking::blocking_region("channel.recv");
-        let bytes = self.rx.recv().map_err(|_| TransportError::Disconnected)?;
+        let bytes = self.0.recv().map_err(|_| TransportError::Disconnected)?;
         Frame::decode(&bytes)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame> {
         crate::blocking::blocking_region("channel.recv_timeout");
-        let bytes = self.rx.recv_timeout(timeout).map_err(|e| match e {
+        let bytes = self.0.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => TransportError::Timeout,
             RecvTimeoutError::Disconnected => TransportError::Disconnected,
         })?;

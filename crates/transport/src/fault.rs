@@ -181,6 +181,50 @@ impl<T: Transport> FaultyTransport<T> {
             },
         }
     }
+
+    /// One receive path for `recv` (`None`) and `recv_timeout`.
+    fn recv_within(&mut self, timeout: Option<Duration>) -> Result<Frame> {
+        if let Some(frame) = self.pending.pop_front() {
+            return Ok(frame);
+        }
+        match self.next_recv_fault() {
+            Fault::Pass => self.inner_recv(timeout),
+            Fault::DropFrame => {
+                let _ = self.inner_recv(timeout)?;
+                self.inner_recv(timeout)
+            }
+            Fault::Disconnect => Err(TransportError::Disconnected),
+            Fault::Corrupt => {
+                let frame = self.inner_recv(timeout)?;
+                Ok(Self::corrupt(&frame))
+            }
+            Fault::Duplicate => {
+                let frame = self.inner_recv(timeout)?;
+                self.pending.push_back(frame.clone());
+                Ok(frame)
+            }
+            Fault::Delay(d) => match timeout {
+                // The frame is late: if the deadline expires first the
+                // caller sees a timeout and the frame stays queued
+                // inside the inner transport for a later receive.
+                Some(timeout) if d >= timeout => {
+                    std::thread::sleep(timeout);
+                    Err(TransportError::Timeout)
+                }
+                _ => {
+                    std::thread::sleep(d);
+                    self.inner_recv(timeout.map(|timeout| timeout - d))
+                }
+            },
+        }
+    }
+
+    fn inner_recv(&mut self, timeout: Option<Duration>) -> Result<Frame> {
+        match timeout {
+            None => self.inner.recv(),
+            Some(timeout) => self.inner.recv_timeout(timeout),
+        }
+    }
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
@@ -202,66 +246,11 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 
     fn recv(&mut self) -> Result<Frame> {
-        if let Some(frame) = self.pending.pop_front() {
-            return Ok(frame);
-        }
-        let fault = self.next_recv_fault();
-        match fault {
-            Fault::Pass => self.inner.recv(),
-            Fault::DropFrame => {
-                let _ = self.inner.recv()?;
-                self.inner.recv()
-            }
-            Fault::Disconnect => Err(TransportError::Disconnected),
-            Fault::Corrupt => {
-                let frame = self.inner.recv()?;
-                Ok(Self::corrupt(&frame))
-            }
-            Fault::Duplicate => {
-                let frame = self.inner.recv()?;
-                self.pending.push_back(frame.clone());
-                Ok(frame)
-            }
-            Fault::Delay(d) => {
-                std::thread::sleep(d);
-                self.inner.recv()
-            }
-        }
+        self.recv_within(None)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame> {
-        if let Some(frame) = self.pending.pop_front() {
-            return Ok(frame);
-        }
-        match self.next_recv_fault() {
-            Fault::Pass => self.inner.recv_timeout(timeout),
-            Fault::DropFrame => {
-                let _ = self.inner.recv_timeout(timeout)?;
-                self.inner.recv_timeout(timeout)
-            }
-            Fault::Disconnect => Err(TransportError::Disconnected),
-            Fault::Corrupt => {
-                let frame = self.inner.recv_timeout(timeout)?;
-                Ok(Self::corrupt(&frame))
-            }
-            Fault::Duplicate => {
-                let frame = self.inner.recv_timeout(timeout)?;
-                self.pending.push_back(frame.clone());
-                Ok(frame)
-            }
-            Fault::Delay(d) => {
-                // The frame is late: if the deadline expires first the
-                // caller sees a timeout and the frame stays queued
-                // inside the inner transport for a later receive.
-                if d >= timeout {
-                    std::thread::sleep(timeout);
-                    Err(TransportError::Timeout)
-                } else {
-                    std::thread::sleep(d);
-                    self.inner.recv_timeout(timeout - d)
-                }
-            }
-        }
+        self.recv_within(Some(timeout))
     }
 
     fn reconnect(&mut self) -> Result<bool> {

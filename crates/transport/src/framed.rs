@@ -1,4 +1,4 @@
-//! Length-prefixed framing shared by the socket transports.
+//! Length-prefixed framing for the socket transport.
 //!
 //! A frame travels as a 4-byte big-endian length followed by the encoded
 //! frame body. Both halves are built in one pooled buffer and shipped
@@ -36,8 +36,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use nrmi_wire::ByteWriter;
 
 use crate::message::Frame;
-use crate::tcp::MAX_FRAME;
 use crate::{Result, TransportError};
+
+/// Largest accepted frame (64 MiB) — far above any benchmark payload,
+/// low enough to fail fast on corrupt length prefixes.
+pub const MAX_FRAME: usize = 64 << 20;
 
 /// Largest single `read` we issue while the body is incomplete; also the
 /// buffer growth step. A peer that declares a huge length but sends

@@ -4,9 +4,9 @@
 //! 440 MHz) joined by a 100 Mbps LAN. This crate reproduces that
 //! environment in two layers:
 //!
-//! * **Real transports** — [`ChannelTransport`] (in-process, crossbeam
-//!   channels) and [`TcpTransport`] (framed `std::net` sockets) carry the
-//!   protocol [`Frame`]s for actual execution.
+//! * **Real transports** — [`ChannelTransport`] (in-process `std::sync::mpsc`
+//!   channels) and [`SocketTransport`] (framed TCP or Unix-domain
+//!   sockets) carry the protocol [`Frame`]s for actual execution.
 //! * **Simulated time** — a [`SimEnv`] deterministically accounts CPU
 //!   microseconds (scaled per [`MachineSpec`]) and transfer microseconds
 //!   (latency + bytes over a [`LinkSpec`]'s bandwidth). Benchmarks read
@@ -24,7 +24,6 @@
 
 mod error;
 mod framed;
-mod listen;
 
 pub mod blocking;
 pub mod endpoint;
@@ -33,9 +32,7 @@ pub mod message;
 #[cfg(unix)]
 pub mod poller;
 pub mod simnet;
-pub mod tcp;
-#[cfg(unix)]
-pub mod uds;
+pub mod socket;
 
 pub use blocking::blocking_region;
 #[cfg(feature = "lockcheck")]
@@ -48,15 +45,18 @@ pub use endpoint::{PollableListener, ReactorIo};
 pub use error::TransportError;
 pub use fault::{Fault, FaultPlan, FaultyTransport};
 pub use framed::{
-    bytes_copied, set_wire_batching, wire_batching_enabled, wire_syscalls, SendQueue,
+    bytes_copied, set_wire_batching, wire_batching_enabled, wire_syscalls, SendQueue, MAX_FRAME,
 };
 pub use message::{decode_rvals, encode_rvals, Frame, RVal};
 #[cfg(unix)]
 pub use poller::{Event, Interest, Poller, Token, Waker};
 pub use simnet::{LinkSpec, MachineSpec, SimEnv, SimReport};
-pub use tcp::{TcpListenerTransport, TcpTransport};
+pub use socket::{
+    SocketListener, SocketStream, SocketTransport, StreamListener, TcpListenerTransport,
+    TcpTransport,
+};
 #[cfg(unix)]
-pub use uds::{UdsListenerTransport, UdsTransport};
+pub use socket::{UdsListenerTransport, UdsTransport, UnixPathListener};
 
 /// Result alias for transport operations.
 pub type Result<T> = std::result::Result<T, TransportError>;

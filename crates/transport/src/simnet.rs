@@ -12,9 +12,7 @@
 //! of a synchronous RPC exchange, which is exactly what the paper's
 //! tables report (milliseconds per call).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A machine participating in the experiment, characterized by how much
 /// slower it is than the reference machine.
@@ -165,12 +163,12 @@ impl SimEnv {
     /// Charges `us` microseconds of CPU work executed on `machine`.
     pub fn charge_cpu(&self, machine: &MachineSpec, us: f64) {
         debug_assert!(us >= 0.0);
-        self.inner.lock().cpu_us += us * machine.speed_factor;
+        self.tallies().cpu_us += us * machine.speed_factor;
     }
 
     /// Charges a one-way transfer of `bytes` over `link`.
     pub fn charge_transfer(&self, link: &LinkSpec, bytes: usize) {
-        let mut t = self.inner.lock();
+        let mut t = self.tallies();
         t.transfer_us += link.transfer_us(bytes);
         t.bytes_sent += bytes as u64;
         t.messages += 1;
@@ -178,7 +176,7 @@ impl SimEnv {
 
     /// Snapshots the accumulated costs.
     pub fn report(&self) -> SimReport {
-        let t = self.inner.lock();
+        let t = self.tallies();
         SimReport {
             cpu_us: t.cpu_us,
             transfer_us: t.transfer_us,
@@ -189,7 +187,13 @@ impl SimEnv {
 
     /// Resets the clock and counters to zero.
     pub fn reset(&self) {
-        *self.inner.lock() = Tallies::default();
+        *self.tallies() = Tallies::default();
+    }
+
+    /// The shared counters. Every update leaves them consistent, so a
+    /// panic elsewhere while they were held does not invalidate them.
+    fn tallies(&self) -> MutexGuard<'_, Tallies> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -1,8 +1,9 @@
 //! Cross-driver conformance: one scripted frame sequence through every
-//! serve loop — the blocking driver (as `Session` runs it), pooled TCP
-//! (`ServerPool::serve`, pipelined) and the reactor — must draw the same
-//! replies. All three drive the one connection engine; this test exists
-//! to catch the next drift between them.
+//! serve loop — the blocking driver (as `Session` runs it), the pooled
+//! server (`ServerPool::serve`, pipelined) and the reactor, the last two
+//! over both TCP and Unix-domain sockets — must draw the same replies.
+//! All of them drive the one connection engine; this test exists to
+//! catch the next drift between them.
 
 #![cfg(unix)]
 
@@ -15,8 +16,8 @@ use nrmi::core::{
 };
 use nrmi::heap::{ClassRegistry, HeapAccess, ObjId, SharedRegistry, Value};
 use nrmi::transport::{
-    channel_pair, Frame, LinkSpec, MachineSpec, TcpListenerTransport, TcpTransport, Transport,
-    TransportError,
+    channel_pair, Frame, LinkSpec, MachineSpec, SocketListener, SocketStream, SocketTransport,
+    StreamListener, TcpListenerTransport, Transport, TransportError, UdsListenerTransport,
 };
 
 const NONCE: u64 = 0x5EED_C0DE;
@@ -230,9 +231,15 @@ fn blocking_driver(registry: &SharedRegistry) -> (Vec<Seen>, Vec<Seen>) {
     (runs.pop().expect("two runs"), shutdown)
 }
 
-fn tcp_driver(registry: &SharedRegistry, reactor: bool) -> (Vec<Seen>, Vec<Seen>) {
-    let listener = TcpListenerTransport::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
+/// Where a listener can be dialed.
+type Peer<L> = <<L as StreamListener>::Stream as SocketStream>::Peer;
+
+/// Runs both scripts against a pooled or reactor server on `listener`.
+fn socket_driver<L: StreamListener>(
+    registry: &SharedRegistry,
+    (listener, peer): (SocketListener<L>, Peer<L>),
+    reactor: bool,
+) -> (Vec<Seen>, Vec<Seen>) {
     let pool = ServerPool::new();
     let handle = if reactor {
         pool.serve_reactor(server(registry), listener)
@@ -240,10 +247,22 @@ fn tcp_driver(registry: &SharedRegistry, reactor: bool) -> (Vec<Seen>, Vec<Seen>
     } else {
         pool.serve(server(registry), listener)
     };
-    let main = script(registry, &mut TcpTransport::connect(addr).expect("connect"));
-    let shutdown = shutdown_script(&mut TcpTransport::connect(addr).expect("connect"));
+    let connect = || SocketTransport::<L::Stream>::dial(peer.clone()).expect("connect");
+    let main = script(registry, &mut connect());
+    let shutdown = shutdown_script(&mut connect());
     handle.shutdown().expect("server shutdown");
     (main, shutdown)
+}
+
+fn tcp() -> (TcpListenerTransport, std::net::SocketAddr) {
+    let listener = TcpListenerTransport::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    (listener, addr)
+}
+
+fn uds(tag: &str) -> (UdsListenerTransport, std::path::PathBuf) {
+    let path = std::env::temp_dir().join(format!("nrmi-conformance-{tag}-{}", std::process::id()));
+    (UdsListenerTransport::bind(&path).expect("bind"), path)
 }
 
 #[test]
@@ -265,8 +284,18 @@ fn every_driver_answers_the_script_identically() {
             .any(|s| matches!(s, Seen::Frame(Frame::ReplyCached { seq: 1, .. }))),
         "the duplicate id is answered from the reply cache"
     );
-    let pooled = tcp_driver(&registry, false);
+    let pooled = socket_driver(&registry, tcp(), false);
     assert_eq!(blocking, pooled, "blocking driver vs pooled TCP");
-    let reactor = tcp_driver(&registry, true);
+    let reactor = socket_driver(&registry, tcp(), true);
     assert_eq!(blocking, reactor, "blocking driver vs reactor");
+}
+
+#[test]
+fn pooled_and_reactor_drivers_answer_identically_over_unix_sockets() {
+    let registry = registry();
+    let blocking = blocking_driver(&registry);
+    let pooled = socket_driver(&registry, uds("pooled"), false);
+    assert_eq!(blocking, pooled, "blocking driver vs pooled UDS");
+    let reactor = socket_driver(&registry, uds("reactor"), true);
+    assert_eq!(blocking, reactor, "blocking driver vs reactor over UDS");
 }

@@ -4,7 +4,9 @@
 
 use std::thread;
 
-use nrmi::core::{serve_tcp, CallOptions, FnService, NrmiError, PassMode, ServerNode, Session};
+use nrmi::core::{
+    serve_tcp, CallOptions, FnService, NrmiError, PassMode, ServerNode, Session, TcpSession,
+};
 use nrmi::heap::tree::{self};
 use nrmi::heap::{ClassRegistry, HeapAccess, SharedRegistry, Value};
 use nrmi::transport::{MachineSpec, TcpListenerTransport};
@@ -199,4 +201,86 @@ fn sequential_clients_share_one_server() {
         client.close().expect("close");
     }
     handle.join().expect("server thread");
+}
+
+#[test]
+fn tcp_session_traces_looks_up_and_collects_like_the_in_process_one() {
+    // One session type for every transport: the call log, registry
+    // lookups and both DGC paths work over TCP as they do in process.
+    let registry = registry();
+    let listener = TcpListenerTransport::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server_registry = registry.clone();
+    let server = thread::spawn(move || {
+        let mut node = ServerNode::new(server_registry, MachineSpec::fast());
+        node.bind(
+            "svc",
+            Box::new(FnService::new(|method, args, heap| match method {
+                "bump" => {
+                    let root = args[0].as_ref_id().ok_or_else(|| NrmiError::app("tree"))?;
+                    let data = heap.get_field(root, "data")?.as_int().unwrap_or(0);
+                    heap.set_field(root, "data", Value::Int(data + 1))?;
+                    Ok(Value::Int(data))
+                }
+                "make" => {
+                    let class = heap.registry().by_name("Tree").expect("Tree");
+                    let node =
+                        heap.alloc_raw(class, vec![Value::Int(1), Value::Null, Value::Null])?;
+                    Ok(Value::Ref(node))
+                }
+                other => Err(NrmiError::app(format!("no method {other}"))),
+            })),
+        );
+        serve_tcp(&mut node, &listener, 1).expect("serve");
+        node
+    });
+    let mut client = Session::connect_tcp(registry, addr).expect("connect");
+
+    client.enable_tracing();
+    let classes = tree::TreeClasses {
+        tree: client.heap().registry_handle().by_name("Tree").unwrap(),
+    };
+    let ex = tree::build_running_example(client.heap(), &classes).unwrap();
+    client
+        .call("svc", "bump", &[Value::Ref(ex.root)])
+        .expect("cold call");
+    client
+        .call_warm("svc", "bump", &[Value::Ref(ex.root)])
+        .expect("warm call");
+    let traces = client.tracer().entries();
+    assert_eq!(traces.len(), 2, "{}", client.tracer().render());
+    assert!(traces
+        .iter()
+        .all(|t| t.target == "svc.bump" && t.error.is_none()));
+    assert!(
+        !traces[0].options.delta_reply && traces[1].options.delta_reply,
+        "a cold call, then a warm one: {}",
+        client.tracer().render()
+    );
+
+    assert!(client.lookup("svc").expect("lookup hit"));
+    assert!(!client.lookup("absent").expect("lookup miss"));
+
+    // Three stubs: one released by hand, one collected as garbage, one
+    // kept reachable.
+    let make = |client: &mut TcpSession| {
+        client
+            .call_with("svc", "make", &[], CallOptions::forced(PassMode::RemoteRef))
+            .expect("make")
+            .as_ref_id()
+            .expect("stub")
+    };
+    let (released, dropped, kept) = (make(&mut client), make(&mut client), make(&mut client));
+    client.release_stub(released).expect("release");
+    let (_, cleans) = client.collect_garbage(&[ex.root, kept]).expect("collect");
+    assert_eq!(cleans, 1, "only the unreachable stub is cleaned");
+    assert!(!client.heap().contains(dropped));
+    assert!(client.heap().contains(kept));
+    client.close().expect("close");
+    let node = server.join().expect("server thread");
+    assert_eq!(
+        node.state.exports.len(),
+        1,
+        "both cleans reached the server; the kept stub stays exported"
+    );
 }
