@@ -31,7 +31,6 @@ use std::time::Instant;
 
 use nrmi_core::{
     serve_connection_pooled, CallOptions, FnService, NrmiError, RemoteService, ServerNode, Session,
-    SharedServer,
 };
 use nrmi_heap::{HeapAccess, Value};
 use nrmi_transport::{MachineSpec, TcpListenerTransport};
@@ -231,7 +230,7 @@ fn measure_wire(size: usize, warm: bool, batching: bool) -> WirePoint {
     let addr = listener.local_addr().expect("addr");
     let mut server = ServerNode::new(classes.registry.clone(), MachineSpec::fast());
     server.bind("sum", sum_service());
-    let shared = Arc::new(SharedServer::from_node(server));
+    let shared = Arc::clone(server.shared());
     let server_thread = {
         let shared = Arc::clone(&shared);
         thread::spawn(move || {

@@ -62,9 +62,8 @@ use std::time::{Duration, Instant};
 
 use nrmi_core::{
     allow_blocking, client_evict_warm, client_invoke, client_invoke_warm_with_stats,
-    serve_connection_pooled, CallOptions, ClientNode, Connection, FnService, Host, LockClass,
-    Loopback, NrmiError, PassMode, PipelinedCall, ServerNode, Session, SharedServer, Step,
-    TrackedMutex, WarmCaches,
+    serve_connection_pooled, CallOptions, ClientNode, Connection, FnService, LockClass, Loopback,
+    NrmiError, PassMode, PipelinedCall, ServerNode, Session, Step, TrackedMutex,
 };
 use nrmi_heap::{ClassId, ClassRegistry, HeapAccess, ObjId, SharedRegistry, Value};
 use nrmi_transport::{
@@ -340,9 +339,9 @@ pub fn serve_big_lock(
     let _allow = allow_blocking(
         "big-lock baseline holds the node lock across callback I/O by documented design",
     );
-    let mut conn = Connection::new(WarmCaches::with_leases(node.lock().leases.clone()));
+    let mut conn = Connection::new(Arc::clone(node.lock().shared()));
     let result = big_lock_loop(node, &mut conn, transport);
-    conn.close(&mut node.lock().state.heap);
+    conn.close(&mut node.lock());
     result
 }
 
@@ -358,12 +357,12 @@ fn big_lock_loop(
             Err(TransportError::Disconnected) => return Ok(()),
             Err(e) => return Err(e.into()),
         };
-        let step = conn.on_frame(Host::Node(&mut node.lock()), transport, frame, &mut out)?;
+        let step = conn.on_frame(Some(&mut node.lock()), transport, frame, &mut out)?;
         for frame in out.drain(..) {
             transport.send(&frame)?;
         }
-        // A node host executes everything itself: `Close` is the only
-        // other step.
+        // A step with a node and no workers executes everything itself:
+        // `Close` is the only other step.
         if !matches!(step, Step::Continue) {
             return Ok(());
         }
@@ -509,7 +508,7 @@ fn throughput_cell(flavor: ServerFlavor, clients: usize) -> ScalingPoint {
             elapsed
         }
         ServerFlavor::Pooled => {
-            let shared = Arc::new(SharedServer::from_node(server));
+            let shared = Arc::clone(server.shared());
             let mut workers = Vec::new();
             for _ in 0..clients {
                 let mut conn = listener.accept().expect("accept");
@@ -566,7 +565,7 @@ fn stall_cell(flavor: ServerFlavor) -> StallPoint {
                     .collect()
             }
             ServerFlavor::Pooled => {
-                let shared = Arc::new(SharedServer::from_node(server));
+                let shared = Arc::clone(server.shared());
                 conns
                     .into_iter()
                     .map(|mut conn| {
@@ -687,7 +686,7 @@ fn pipeline_cell(depth: usize) -> PipelinePoint {
             })),
         );
     }
-    let shared = Arc::new(SharedServer::from_node(server));
+    let shared = Arc::clone(server.shared());
     let server_thread = {
         let shared = Arc::clone(&shared);
         thread::spawn(move || {
@@ -775,7 +774,7 @@ fn batched_wire_run(depth: usize, batching: bool) -> f64 {
             })),
         );
     }
-    let shared = Arc::new(SharedServer::from_node(server));
+    let shared = Arc::clone(server.shared());
     let server_thread = {
         let shared = Arc::clone(&shared);
         thread::spawn(move || {
@@ -1051,7 +1050,7 @@ fn contention_run(readers: usize, targeted: bool) -> (usize, usize, usize, usize
             Ok(Value::Int(sum as i32))
         })),
     );
-    let leases = Arc::clone(&server.leases);
+    let shared = Arc::clone(server.shared());
     let server = Arc::new(Mutex::new(server));
 
     let mut fleet: Vec<WarmReader> = (0..readers)
@@ -1070,10 +1069,7 @@ fn contention_run(readers: usize, targeted: bool) -> (usize, usize, usize, usize
             }
             WarmReader {
                 client,
-                link: Loopback::new(
-                    Arc::clone(&server),
-                    Connection::new(WarmCaches::with_leases(Arc::clone(&leases))),
-                ),
+                link: Loopback::new(Arc::clone(&server), Connection::new(Arc::clone(&shared))),
                 root: root.expect("nonempty chain"),
                 oracle: (0..CONTENTION_GRAPH_NODES).map(|i| i as i32).collect(),
             }

@@ -233,16 +233,16 @@ mod tests {
 
     #[test]
     fn low_churn_warm_calls_are_faster() {
-        // Wall-clock, so keep the margin generous: at δ ≤ 10% a warm
-        // call skips marshalling ~90% of a 1k-node graph and must not be
-        // slower than the cold call in aggregate.
-        let rows = run_warm_ablation(1024);
-        let clean = &rows[0];
-        assert!(
-            clean.warm.steady_us < clean.cold.steady_us,
-            "δ=0: warm {}µs vs cold {}µs",
-            clean.warm.steady_us,
-            clean.cold.steady_us
-        );
+        // Wall-clock, so keep the margin generous: at δ = 0 a warm call
+        // skips marshalling a 1k-node graph and must not be slower than
+        // the cold call in aggregate. Cold and warm runs alternate and
+        // each side keeps its fastest of several, so load from the rest
+        // of the machine cannot land on one side only.
+        let (mut cold, mut warm) = (u128::MAX, u128::MAX);
+        for _ in 0..5 {
+            cold = cold.min(measure(1024, 0.0, false).steady_us);
+            warm = warm.min(measure(1024, 0.0, true).steady_us);
+        }
+        assert!(warm < cold, "δ=0: warm {warm}µs vs cold {cold}µs");
     }
 }

@@ -25,7 +25,7 @@
 //! | [`CoreModel`] | call, mutate, graft, prune, server write, evict (6) | the honest warm protocol, coherence repair, generation lockstep |
 //! | [`AdversarialModel`] | core + stale generation, unknown cache, garbage payload (4) | hand-built hostile frames: the server must answer `CacheMiss` or `CallError` |
 //! | [`ReliabilityModel`] | call, mutate, drop request/reply, duplicate, disconnect (4) | the retry client over a lossy link: exactly-once |
-//! | [`SharedModel`] | call, mutate, evict × two connections (5) | one lock-split server, one shared reply cache: no torn heap |
+//! | [`SharedModel`] | call, mutate, evict × two connections (5) | one shared server, one node per connection: no torn heap |
 //! | [`SharedGraphModel`] | call, mutate, evict × two, drop A (4) | two leased warm sessions on ONE heap: coherence and lease safety |
 //! | [`PipelinedModel`] | issue, collect × two slots, swap, drop (4) | two calls in flight on one connection: reply routing |
 //! | [`ReactorModel`] | issue × two, run job, retransmit, collect × two (4) | the reactor's offload step over two connections and two workers |
@@ -54,7 +54,7 @@
 //!   reliability model), across two connections sharing one reply
 //!   cache (the shared model), or across pipelined and offloaded calls.
 //! * `P008` — a reply observed a torn heap state: after any
-//!   two-connection interleaving on the lock-split shared server, some
+//!   two-connection interleaving on one shared server, some
 //!   client graph no longer matches its private oracle twin — another
 //!   connection's call leaked into this one's restore.
 //! * `P009` — reply routing broken: with several calls in flight on one
@@ -88,7 +88,7 @@ use std::time::Duration;
 use nrmi_core::{
     client_apply_reply, client_evict_warm, client_invoke_warm_with_stats, client_marshal_call,
     run_offloaded, CallOptions, ClientNode, Connection, FnService, Loopback, NrmiError, PassMode,
-    PendingCall, ReliableTransport, RetryPolicy, ServerNode, SharedServer, Step, WarmCaches,
+    PendingCall, ReliableTransport, RetryPolicy, ServerNode, SharedServer, Step,
 };
 use nrmi_heap::validate::validate;
 use nrmi_heap::{graph, ClassRegistry, Heap, HeapAccess, ObjId, SharedRegistry, Value};
@@ -633,6 +633,13 @@ fn check_heaps(report: &mut Report, endpoints: &[(&str, &Endpoint)], servers: &[
     }
 }
 
+/// A loopback connection executing on `server` itself, as
+/// `serve_connection` serves it.
+fn serving(server: ServerNode) -> Loopback<ServerNode> {
+    let conn = Connection::new(Arc::clone(server.shared()));
+    Loopback::new(server, conn)
+}
+
 /// The checker's fault injection, in one place: a loopback link whose
 /// single-shot faults the models arm, each consumed by the next frame
 /// it applies to, plus direct reordering and loss of queued replies.
@@ -653,7 +660,7 @@ struct Lossy {
 impl Lossy {
     fn new(server: ServerNode) -> Self {
         Lossy {
-            link: Loopback::new(server, Connection::new(WarmCaches::new())),
+            link: serving(server),
             drop_requests: 0,
             drop_replies: 0,
             duplicate_requests: 0,
@@ -808,7 +815,7 @@ impl<const HOSTILE: bool> Model for WarmModel<HOSTILE> {
         let fixture = Fixture::new();
         WarmModel {
             ep: fixture.endpoint(1),
-            link: Loopback::new(fixture.server(), Connection::new(WarmCaches::new())),
+            link: serving(fixture.server()),
             fixture,
             wrote_root: false,
             next_data: 100,
@@ -1089,14 +1096,15 @@ impl Model for ReliabilityModel {
 }
 
 // ---------------------------------------------------------------------------
-// The shared model: two connections against one lock-split server
+// The shared model: two connections against one shared server
 // ---------------------------------------------------------------------------
 
 /// One action in the two-connection shared-server model. Actions are
 /// addressed to connection A or B; each connection has its own session
-/// tree, its own oracle twin, and its own nonce stream, while the reply
-/// cache and service bindings are the [`SharedServer`]'s — exactly the
-/// state the pooled serve loop shares between connections.
+/// tree, its own oracle twin, its own nonce stream and its own node,
+/// while the reply cache and service bindings are the nodes'
+/// [`SharedServer`]'s — exactly the state the pooled serve loop shares
+/// between connections.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SharedAction {
     /// A warm call on connection A (seeds on first use).
@@ -1113,19 +1121,15 @@ pub enum SharedAction {
     EvictB,
 }
 
-/// A connection of a lock-split server: the shared reply cache and
-/// bindings plus the connection's own node, as the pooled serve loop
-/// steps them.
-type PooledLink = Loopback<(Arc<SharedServer>, ServerNode)>;
-
 /// Two connections interleaved on one [`SharedServer`] (shared bindings
-/// and sharded reply cache), each a real warm client behind a real
-/// [`ReliableTransport`], so every request crosses the shared reply
-/// cache.
+/// and sharded reply cache), each on its own node built by
+/// [`SharedServer::connection_node`] as the pooled serve loop builds
+/// them, each a real warm client behind a real [`ReliableTransport`],
+/// so every request crosses the shared reply cache.
 pub struct SharedModel {
     fixture: Fixture,
     eps: [Endpoint; 2],
-    transports: [ReliableTransport<PooledLink>; 2],
+    transports: [ReliableTransport<Loopback<ServerNode>>; 2],
     calls: usize,
 }
 
@@ -1145,14 +1149,10 @@ impl Model for SharedModel {
 
     fn new() -> Self {
         let fixture = Fixture::new();
-        let shared = Arc::new(SharedServer::from_node(fixture.server()));
+        let shared = Arc::clone(fixture.server().shared());
         // Distinct nonce streams, as two real connections would draw
         // from `fresh_nonce`.
-        let transport = |nonce| {
-            let conn = Connection::new(WarmCaches::new());
-            let link = Loopback::new((Arc::clone(&shared), shared.connection_node()), conn);
-            Fixture::reliable(link, nonce)
-        };
+        let transport = |nonce| Fixture::reliable(serving(shared.connection_node()), nonce);
         SharedModel {
             eps: [fixture.endpoint(1), fixture.endpoint(1)],
             transports: [transport(0xAAAA_1111), transport(0xBBBB_2222)],
@@ -1207,8 +1207,8 @@ impl Model for SharedModel {
             report,
             &[("A", &self.eps[0]), ("B", &self.eps[1])],
             &[
-                ("A", &a.inner().server.1.state.heap),
-                ("B", &b.inner().server.1.state.heap),
+                ("A", &a.inner().server.state.heap),
+                ("B", &b.inner().server.state.heap),
             ],
         );
         self.fixture
@@ -1224,10 +1224,9 @@ impl Model for SharedModel {
 /// the [`SharedAction`] world — two connections with *disjoint* session
 /// graphs behind one reply cache — this model shares the coherence
 /// surface itself: both endpoints hold warm sessions against ONE
-/// [`ServerNode`] heap, their [`WarmCaches`] built with
-/// [`WarmCaches::with_leases`] on the node's lease table exactly as a
-/// node serving several connections builds them (the big-lock baseline
-/// in `nrmi-bench`), and every call writes the *other* endpoint's
+/// [`ServerNode`] heap, their warm caches' evictions coordinated through
+/// that node's lease table exactly as on a node serving several
+/// connections (the big-lock baseline in `nrmi-bench`), and every call writes the *other* endpoint's
 /// server-side root out-of-band. Each step drives the real coherence
 /// machinery: version-vector staleness classification, `CacheStale`
 /// repair patches, the client-wins positional merge, and lease-guarded
@@ -1329,12 +1328,9 @@ impl Model for SharedGraphModel {
                 })),
             );
         }
-        let leases = Arc::clone(&server.leases);
+        let shared = Arc::clone(server.shared());
         let server = Arc::new(Mutex::new(server));
-        let link = || {
-            let conn = Connection::new(WarmCaches::with_leases(Arc::clone(&leases)));
-            Loopback::new(Arc::clone(&server), conn)
-        };
+        let link = || Loopback::new(Arc::clone(&server), Connection::new(Arc::clone(&shared)));
         SharedGraphModel {
             roots,
             eps: [fixture.endpoint(1), fixture.endpoint(1)],
@@ -1720,7 +1716,7 @@ impl Model for ReactorModel {
 
     fn new() -> Self {
         let fixture = Fixture::new();
-        let shared = Arc::new(SharedServer::from_node(fixture.server()));
+        let shared = Arc::clone(fixture.server().shared());
         // Distinct nonces and histories: connection A's values evolve
         // from 100, B's from 200, so a reply executed on the wrong state
         // or routed to the wrong connection is observable.
@@ -1737,7 +1733,7 @@ impl Model for ReactorModel {
             workers: [shared.connection_node(), shared.connection_node()],
             reactor: Loopback::new(
                 Arc::clone(&shared),
-                Connection::with_workers(&shared, WarmCaches::new()),
+                Connection::with_workers(Arc::clone(&shared)),
             ),
             fixture,
             jobs: VecDeque::new(),
@@ -1822,7 +1818,7 @@ impl ReactorModel {
         // worker heaps.
         let worker = &mut self.workers[self.next_worker % 2];
         self.next_worker += 1;
-        let reply = run_offloaded(&self.reactor.server, worker, nonce, seq, call);
+        let reply = run_offloaded(worker, nonce, seq, call);
         self.dispatched += 1;
         self.conns[i].inbox.push_back(reply);
     }
@@ -2054,8 +2050,6 @@ fn enumerate(table: &[Row], cfg: &ModelCheckConfig) -> Report {
 
 #[cfg(test)]
 mod tests {
-    use nrmi_core::ReplyCache;
-
     use super::*;
 
     fn assert_clean<M: Model>(sequences: &[&[M::Action]]) {
@@ -2172,8 +2166,9 @@ mod tests {
     #[test]
     fn reliability_duplicate_without_reply_cache_is_caught() {
         // One tagged call delivered twice executes once and replays
-        // once; wiping the reply cache between the deliveries must make
-        // the second one re-execute, and the counter must say so.
+        // once; a server with an empty reply cache (a fresh one, with
+        // the same counted service) must re-execute a third delivery,
+        // and the counter must say so.
         let mut world = ReliabilityModel::new();
         let tree = world.ep.tree;
         let (call, _) = world
@@ -2192,8 +2187,9 @@ mod tests {
         let report = step(&mut world, ReliabilityAction::MutateClient);
         assert!(!report.has_errors(), "{}", report.render());
 
+        let forgetful = serving(world.fixture.server());
         let link = &mut world.transport.inner_mut().link;
-        link.server.replies = ReplyCache::new(1 << 20);
+        *link = forgetful;
         link.step(tagged).expect("step");
         let report = step(&mut world, ReliabilityAction::MutateClient);
         assert!(report.has_code("NRMI-P007"), "{}", report.render());
@@ -2393,7 +2389,11 @@ mod tests {
     #[test]
     fn core_model_reports_p004_for_a_failed_call() {
         let mut world = world_after::<CoreModel>(&[Action::Call]);
-        world.link.server.services.clear();
+        // A server with nothing bound: the next call cannot succeed.
+        world.link = serving(ServerNode::new(
+            world.fixture.registry.clone(),
+            MachineSpec::fast(),
+        ));
         let report = step(&mut world, Action::Call);
         assert!(report.has_code("NRMI-P004"), "{}", report.render());
     }

@@ -20,16 +20,22 @@
 //! * the pipelined reader/writer driver keeps reading while calls
 //!   execute and offloads fresh pipelineable calls to its workers;
 //! * the reactor classifies frames on its event loop with no node at
-//!   all, so everything stateful escalates to a dedicated thread that
-//!   replays it through the pipelined driver.
+//!   all, so a frame that needs one escalates: a dedicated thread takes
+//!   the connection and that frame, and reads the rest itself through
+//!   the pipelined driver.
+//!
+//! Every step consults its connection's server — the [`SharedServer`]
+//! every node of that server holds — for bindings and the reply cache,
+//! and executes against the node the driver hands it, if any.
 //!
 //! What the engine owns, so no driver can drift from another:
 //!
-//! * **At-most-once.** A tagged call is classified by the reply cache's
-//!   `begin` (which marks a fresh id executing in the same locked
-//!   step), answered from the cache when it is a replay or evicted,
-//!   dropped unanswered while another execution of it is in flight,
-//!   and otherwise executed — here or on a worker — and `store`d.
+//! * **At-most-once.** A tagged call is classified by the server's
+//!   reply cache's `begin` (which marks a fresh id executing in the
+//!   same locked step), answered from the cache when it is a replay or
+//!   evicted, dropped unanswered while another execution of it is in
+//!   flight, and otherwise executed — here or on a worker — and
+//!   `store`d.
 //! * **The warm arm.** Warm calls and evictions go through
 //!   `dispatch_warm_frame`, which puts `CacheStale` pushes for this
 //!   connection's other sessions ahead of the call's own reply; the
@@ -47,7 +53,6 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use nrmi_heap::Heap;
 use nrmi_transport::{Frame, Transport, TransportError};
 
 use crate::error::NrmiError;
@@ -56,49 +61,6 @@ use crate::protocol::{server_handle_call, Callee};
 use crate::reliable::{evicted_reply, ReplyDecision};
 use crate::server::SharedServer;
 use crate::warm::{dispatch_warm_frame, server_handle_warm_call, WarmCaches};
-
-/// Where one engine step finds the server state it reads and writes.
-#[derive(Debug)]
-pub enum Host<'a> {
-    /// A node serving its connections itself (`Session`, `serve_tcp`, a
-    /// node behind one lock): the node's own reply cache and bindings.
-    Node(&'a mut ServerNode),
-    /// A connection of a lock-split [`SharedServer`]: the shared reply
-    /// cache and bindings, plus the connection's private node — `None`
-    /// on the reactor thread, where connections own no node until they
-    /// escalate.
-    Pool(&'a SharedServer, Option<&'a mut ServerNode>),
-}
-
-impl Host<'_> {
-    fn begin(&mut self, nonce: u64, seq: u64) -> ReplyDecision {
-        match self {
-            Host::Node(node) => node.replies.begin(nonce, seq),
-            Host::Pool(shared, _) => shared.replies.begin(nonce, seq),
-        }
-    }
-
-    fn store(&mut self, nonce: u64, seq: u64, reply: &Frame) {
-        match self {
-            Host::Node(node) => node.replies.store(nonce, seq, reply),
-            Host::Pool(shared, _) => shared.replies.store(nonce, seq, reply),
-        }
-    }
-
-    fn is_bound(&self, name: &str) -> bool {
-        match self {
-            Host::Node(node) => node.is_bound(name),
-            Host::Pool(shared, _) => shared.is_bound(name),
-        }
-    }
-
-    fn node(&mut self) -> Option<&mut ServerNode> {
-        match self {
-            Host::Node(node) => Some(node),
-            Host::Pool(_, node) => node.as_deref_mut(),
-        }
-    }
-}
 
 /// What the driver does after one engine step. Frames to write were
 /// appended to the caller's buffer in the order they must leave.
@@ -116,7 +78,7 @@ pub enum Step {
         /// The inner (untagged) call frame to execute.
         call: Frame,
     },
-    /// The frame needs a connection node and the host has none: hand it,
+    /// The frame needs a connection node and the step has none: hand it,
     /// unprocessed, to a thread that owns one. The reply cache has not
     /// been consulted, so the escalated thread's `begin` is the first.
     Escalate(Frame),
@@ -124,30 +86,36 @@ pub enum Step {
     Close,
 }
 
-/// One connection's protocol state: its warm sessions, and whether its
-/// driver offloads calls to workers.
+/// One connection's protocol state: the server it belongs to (whose
+/// reply cache and bindings every step consults), its warm sessions,
+/// and whether its driver offloads calls to workers.
 #[derive(Debug)]
 pub struct Connection {
+    server: Arc<SharedServer>,
     warm: WarmCaches,
     offload: bool,
 }
 
 impl Connection {
-    /// A connection that executes every call on its driver's thread.
-    pub fn new(warm: WarmCaches) -> Self {
+    /// A connection to `server` that executes every call on its
+    /// driver's thread.
+    pub fn new(server: Arc<SharedServer>) -> Self {
         Connection {
-            warm,
+            server,
+            warm: WarmCaches::new(),
             offload: false,
         }
     }
 
-    /// A connection whose driver runs a worker pool: fresh pipelineable
-    /// tagged calls leave as [`Step::Offload`] when `shared`'s schema
-    /// lets calls execute on worker nodes.
-    pub fn with_workers(shared: &SharedServer, warm: WarmCaches) -> Self {
+    /// A connection to `server` whose driver runs a worker pool: fresh
+    /// pipelineable tagged calls leave as [`Step::Offload`] when the
+    /// server's schema lets calls execute on worker nodes.
+    pub fn with_workers(server: Arc<SharedServer>) -> Self {
+        let offload = server.offloadable();
         Connection {
-            warm,
-            offload: shared.offloadable(),
+            server,
+            warm: WarmCaches::new(),
+            offload,
         }
     }
 
@@ -162,41 +130,49 @@ impl Connection {
     }
 
     /// Connection teardown, orderly or not: releases the cached warm
-    /// session graphs from `heap` — the warm analogue of DGC cleaning a
-    /// disconnected client.
-    pub fn close(&mut self, heap: &mut Heap) {
-        self.warm.release_all(heap);
+    /// session graphs from `node`'s heap — the warm analogue of DGC
+    /// cleaning a disconnected client.
+    pub fn close(&mut self, node: &mut ServerNode) {
+        self.warm
+            .release_all(&mut node.state.heap, &mut node.leases);
     }
 
-    /// Runs one frame through the connection. Reply frames are appended
-    /// to `out` (pushed `CacheStale` patches ahead of the reply they
-    /// precede); `callbacks` carries a remote-reference call's mid-call
-    /// traffic to the client.
+    /// Runs one frame through the connection against `node` — or, on
+    /// the reactor thread, against the server's shared state alone, in
+    /// which case every frame that needs a node escalates. Reply frames
+    /// are appended to `out` (pushed `CacheStale` patches ahead of the
+    /// reply they precede); `callbacks` carries a remote-reference
+    /// call's mid-call traffic to the client.
     ///
     /// # Errors
     /// [`NrmiError::Protocol`] for a frame no client may send; the
     /// connection must end.
     pub fn on_frame(
         &mut self,
-        mut host: Host<'_>,
+        node: Option<&mut ServerNode>,
         callbacks: &mut dyn Transport,
         frame: Frame,
         out: &mut Vec<Frame>,
     ) -> Result<Step, NrmiError> {
+        debug_assert!(
+            node.as_ref()
+                .is_none_or(|node| Arc::ptr_eq(&node.shared, &self.server)),
+            "a connection steps against nodes of its own server"
+        );
         match frame {
             Frame::Shutdown => return Ok(Step::Close),
             Frame::Lookup { name } => out.push(Frame::LookupReply {
-                found: host.is_bound(&name),
+                found: self.server.is_bound(&name),
             }),
             Frame::Tagged { nonce, seq, frame } => {
                 let offload = self.offload && is_pipelineable(&frame);
-                // A call this host would execute but has no node for
+                // A call this step would execute but has no node for
                 // escalates before `begin`, so the escalated thread's
                 // `begin` is the first.
-                if !offload && host.node().is_none() {
+                if !offload && node.is_none() {
                     return Ok(Step::Escalate(Frame::Tagged { nonce, seq, frame }));
                 }
-                match host.begin(nonce, seq) {
+                match self.server.replies.begin(nonce, seq) {
                     ReplyDecision::Replay(cached) => out.push(Frame::ReplyCached {
                         nonce,
                         seq,
@@ -220,9 +196,9 @@ impl Connection {
                         })
                     }
                     ReplyDecision::Fresh => {
-                        let node = host.node().expect("checked before begin");
+                        let node = node.expect("checked before begin");
                         let reply = execute(node, &mut self.warm, callbacks, *frame);
-                        host.store(nonce, seq, &reply);
+                        self.server.replies.store(nonce, seq, &reply);
                         out.push(Frame::Tagged {
                             nonce,
                             seq,
@@ -236,7 +212,7 @@ impl Connection {
             | Frame::CallRequestWarm { .. }
             | Frame::CacheEvict { .. }
             | Frame::DgcClean { .. }) => {
-                let Some(node) = host.node() else {
+                let Some(node) = node else {
                     return Ok(Step::Escalate(frame));
                 };
                 match frame {
@@ -260,18 +236,12 @@ impl Connection {
 }
 
 /// The worker side of [`Step::Offload`]: executes the call against the
-/// worker's private node, records the reply in the shared cache, and
+/// worker's private node, records the reply in its server's cache, and
 /// returns the tagged reply for the connection that issued it.
-pub fn run_offloaded(
-    shared: &SharedServer,
-    node: &mut ServerNode,
-    nonce: u64,
-    seq: u64,
-    call: Frame,
-) -> Frame {
+pub fn run_offloaded(node: &mut ServerNode, nonce: u64, seq: u64, call: Frame) -> Frame {
     // Offloaded calls touch no warm session (see `is_pipelineable`).
     let reply = execute(node, &mut WarmCaches::new(), &mut NoCallbackTransport, call);
-    shared.replies.store(nonce, seq, &reply);
+    node.shared.replies.store(nonce, seq, &reply);
     Frame::Tagged {
         nonce,
         seq,
@@ -347,7 +317,7 @@ fn is_pipelineable(frame: &Frame) -> bool {
 }
 
 /// The callback channel of steps that must never call back: worker
-/// calls are gated to need no mid-call traffic, a host without a node
+/// calls are gated to need no mid-call traffic, a step without a node
 /// executes nothing, and a [`Loopback`] has no client to call. Any use
 /// is a bug, surfaced as an in-band call error rather than a hang or a
 /// cross-thread frame steal.
@@ -374,43 +344,34 @@ fn no_callbacks() -> TransportError {
     ))
 }
 
-/// Server state a [`Loopback`] steps the engine against: anything that
-/// can lend a [`Host`] for the length of one step.
+/// Server state a [`Loopback`] steps the engine against: a node, or the
+/// reactor thread's shared state alone.
 pub trait HostState {
-    /// Runs `f` with this state as the step's host.
-    fn with_host<R>(&mut self, f: impl FnOnce(Host<'_>) -> R) -> R;
+    /// Runs `f` with this state's node, if it has one, for the length
+    /// of one step.
+    fn with_node<R>(&mut self, f: impl FnOnce(Option<&mut ServerNode>) -> R) -> R;
 }
 
 /// A node serving its connections itself.
 impl HostState for ServerNode {
-    fn with_host<R>(&mut self, f: impl FnOnce(Host<'_>) -> R) -> R {
-        f(Host::Node(self))
+    fn with_node<R>(&mut self, f: impl FnOnce(Option<&mut ServerNode>) -> R) -> R {
+        f(Some(self))
     }
 }
 
 /// One node shared by several loopback connections, each with its own
 /// warm sessions — the shape of a node behind one lock.
 impl HostState for Arc<Mutex<ServerNode>> {
-    fn with_host<R>(&mut self, f: impl FnOnce(Host<'_>) -> R) -> R {
-        f(Host::Node(
-            &mut self.lock().expect("server node lock poisoned"),
-        ))
-    }
-}
-
-/// A pooled connection: the shared reply cache and bindings, plus the
-/// connection's private node.
-impl HostState for (Arc<SharedServer>, ServerNode) {
-    fn with_host<R>(&mut self, f: impl FnOnce(Host<'_>) -> R) -> R {
-        f(Host::Pool(&self.0, Some(&mut self.1)))
+    fn with_node<R>(&mut self, f: impl FnOnce(Option<&mut ServerNode>) -> R) -> R {
+        f(Some(&mut self.lock().expect("server node lock poisoned")))
     }
 }
 
 /// The reactor thread: the shared state and no node, so every step that
 /// would execute escalates or offloads.
 impl HostState for Arc<SharedServer> {
-    fn with_host<R>(&mut self, f: impl FnOnce(Host<'_>) -> R) -> R {
-        f(Host::Pool(self, None))
+    fn with_node<R>(&mut self, f: impl FnOnce(Option<&mut ServerNode>) -> R) -> R {
+        f(None)
     }
 }
 
@@ -459,7 +420,7 @@ impl<S: HostState> Loopback<S> {
         } = self;
         let mut out = Vec::new();
         let step =
-            server.with_host(|host| conn.on_frame(host, &mut NoCallbackTransport, frame, &mut out));
+            server.with_node(|node| conn.on_frame(node, &mut NoCallbackTransport, frame, &mut out));
         queue.extend(out);
         step
     }
@@ -474,9 +435,9 @@ impl<S: HostState> Loopback<S> {
             conn,
             queue,
         } = self;
-        server.with_host(|mut host| {
-            if let Some(node) = host.node() {
-                conn.close(&mut node.state.heap);
+        server.with_node(|node| {
+            if let Some(node) = node {
+                conn.close(node);
             }
         });
         queue.clear();

@@ -76,7 +76,7 @@ pub mod trace;
 pub mod verify;
 pub mod warm;
 
-pub use engine::{run_offloaded, Connection, Host, HostState, Loopback, NoCallbackTransport, Step};
+pub use engine::{run_offloaded, Connection, HostState, Loopback, NoCallbackTransport, Step};
 pub use error::NrmiError;
 pub use export::ExportTable;
 pub use interface::{InterfaceDef, MethodSig, ParamType, TypedService};

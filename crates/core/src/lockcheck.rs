@@ -62,9 +62,8 @@ pub enum LockClass {
     /// of one invocation *including mid-call callbacks* (a documented
     /// [`allow_blocking`] scope).
     Service,
-    /// The big-lock baseline's `Mutex<ServerNode>` (and the root node
-    /// state kept aside by `SharedServer`): one lock over a whole
-    /// node's heap, exports, and codec scratch.
+    /// The big-lock baseline's `Mutex<ServerNode>`: one lock over a
+    /// whole node's heap, exports, warm leases, and codec scratch.
     NodeHeap,
     /// One shard of the at-most-once [`ShardedReplyCache`]
     /// (`crate::server`): hot-path, never held across call execution.
@@ -81,16 +80,11 @@ pub enum LockClass {
     /// Serve-pool control plane: worker/escalation join-handle lists
     /// and the accept-error slot.
     Control,
-    /// The warm-cache coherence lease table (`SharedServer`): which
-    /// holder has which graph objects warm-cached, consulted on every
-    /// warm call's revalidation and on connection teardown. Never held
-    /// across call execution or transport I/O.
-    LeaseTable,
 }
 
 impl LockClass {
     /// Every class, in a stable order (used for snapshot iteration).
-    pub const ALL: [LockClass; 8] = [
+    pub const ALL: [LockClass; 7] = [
         LockClass::Service,
         LockClass::NodeHeap,
         LockClass::ReplyCacheShard,
@@ -98,7 +92,6 @@ impl LockClass {
         LockClass::ReactorQueue,
         LockClass::SendQueue,
         LockClass::Control,
-        LockClass::LeaseTable,
     ];
 
     /// Stable lowercase name used in diagnostics and reports.
@@ -111,7 +104,6 @@ impl LockClass {
             LockClass::ReactorQueue => "reactor-queue",
             LockClass::SendQueue => "send-queue",
             LockClass::Control => "control",
-            LockClass::LeaseTable => "lease-table",
         }
     }
 
@@ -123,10 +115,7 @@ impl LockClass {
     pub fn hot_path(self) -> bool {
         matches!(
             self,
-            LockClass::ReplyCacheShard
-                | LockClass::Bindings
-                | LockClass::SendQueue
-                | LockClass::LeaseTable
+            LockClass::ReplyCacheShard | LockClass::Bindings | LockClass::SendQueue
         )
     }
 
@@ -701,7 +690,7 @@ mod tests {
             assert!(!class.name().is_empty());
         }
         assert!(LockClass::ReplyCacheShard.hot_path());
-        assert!(LockClass::LeaseTable.hot_path());
+        assert!(LockClass::Bindings.hot_path());
         assert!(!LockClass::Service.hot_path());
         assert!(!LockClass::ReactorQueue.hot_path());
     }

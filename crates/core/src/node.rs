@@ -1,6 +1,7 @@
 //! Client and server node state, and their marshalling hooks.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use nrmi_heap::{Heap, ObjId, SharedRegistry, Value};
 use nrmi_transport::{MachineSpec, RVal, SimEnv};
@@ -8,7 +9,9 @@ use nrmi_wire::{Codec, GraphSnapshot, RemoteHooks, WireError};
 
 use crate::export::ExportTable;
 use crate::profile::RuntimeProfile;
+use crate::server::{ServiceHandle, SharedServer};
 use crate::service::RemoteService;
+use crate::warm::LeaseTable;
 
 /// State common to both ends of a connection: a heap, the export table
 /// of objects the peer holds references to, and the stub table of peer
@@ -190,65 +193,75 @@ impl RemoteHooks for NodeHooks<'_> {
     }
 }
 
-/// Server-side state: node state plus the bound services.
+/// Server-side state: one heap's node state and warm-session leases,
+/// plus everything the server's nodes share — bindings and the
+/// at-most-once reply cache — behind an [`Arc`]. A node serving alone
+/// and every node a pooled server builds per connection or worker
+/// ([`SharedServer::connection_node`]) are this one type, so a call id
+/// recorded through one of them replays through any other.
 pub struct ServerNode {
-    /// Shared node state (heap, tables, accounting).
+    /// This node's own state (heap, tables, accounting). Nodes built by
+    /// [`SharedServer::connection_node`] take the server's machine,
+    /// profile, and accounting environment.
     pub state: NodeState,
-    /// Services by registry name.
-    pub services: HashMap<String, Box<dyn RemoteService>>,
-    /// Behavior bound per CLASS: invoking a method on an exported object
-    /// of that class dispatches here, with the receiver prepended to the
-    /// arguments — the `UnicastRemoteObject` dispatch model.
-    pub class_services: HashMap<nrmi_heap::ClassId, Box<dyn RemoteService>>,
-    /// Duplicate-suppression reply cache: replies to tagged calls are
-    /// recorded here so a retransmitted call id replays its reply
-    /// instead of re-executing (at-most-once delivery).
-    pub replies: crate::reliable::ReplyCache,
-    /// Which warm sessions currently cover which heap objects (see
-    /// [`crate::warm::LeaseTable`]). Connections serving this node build
-    /// their [`WarmCaches`](crate::warm::WarmCaches) with
-    /// [`with_leases`](crate::warm::WarmCaches::with_leases) on a clone
-    /// of this handle, so an eviction by one connection never frees an
+    /// Which warm sessions currently cover which objects of this node's
+    /// heap (see [`LeaseTable`]): every connection serving the node
+    /// borrows it, so an eviction by one connection never frees an
     /// object another connection's warm session still reads.
-    pub leases: std::sync::Arc<crate::lockcheck::TrackedMutex<crate::warm::LeaseTable>>,
+    pub leases: LeaseTable,
+    pub(crate) shared: Arc<SharedServer>,
 }
 
 impl std::fmt::Debug for ServerNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerNode")
             .field("state", &self.state)
-            .field("services", &self.services.keys().collect::<Vec<_>>())
+            .field("shared", &self.shared)
             .finish()
     }
 }
 
 impl ServerNode {
-    /// Creates a server node over `registry`.
+    /// Creates a server node over `registry`, with no bindings yet.
     pub fn new(registry: SharedRegistry, machine: MachineSpec) -> Self {
-        ServerNode {
-            state: NodeState::new(registry, machine),
-            services: HashMap::new(),
-            class_services: HashMap::new(),
-            replies: crate::reliable::ReplyCache::default(),
-            leases: crate::warm::new_lease_table(),
-        }
+        Arc::new(SharedServer::new(
+            registry,
+            machine,
+            RuntimeProfile::default(),
+            None,
+        ))
+        .connection_node()
     }
 
-    /// Binds `service` under `name` (the `Naming.rebind` analogue).
+    /// What this node shares with every other node of its server.
+    pub fn shared(&self) -> &Arc<SharedServer> {
+        &self.shared
+    }
+
+    /// Binds `service` under `name` (the `Naming.rebind` analogue), for
+    /// every node of this server.
     pub fn bind(&mut self, name: impl Into<String>, service: Box<dyn RemoteService>) {
-        self.services.insert(name.into(), service);
+        self.shared
+            .bindings
+            .write()
+            .services
+            .insert(name.into(), ServiceHandle::new(service));
     }
 
     /// True if `name` is bound.
     pub fn is_bound(&self, name: &str) -> bool {
-        self.services.contains_key(name)
+        self.shared.is_bound(name)
     }
 
     /// Binds `service` as the behavior of a remote-marked CLASS: method
     /// calls on exported instances dispatch to it, with the receiver
     /// object prepended as `args[0]`.
     pub fn bind_class(&mut self, class: nrmi_heap::ClassId, service: Box<dyn RemoteService>) {
-        self.class_services.insert(class, service);
+        self.shared
+            .bindings
+            .write()
+            .class_services
+            .insert(class, ServiceHandle::new(service));
     }
 
     /// Runs a server-side garbage collection over the node's heap.

@@ -24,6 +24,8 @@
 //!
 //! [`RemoteHeapProxy`]: crate::proxy::RemoteHeapProxy
 
+use std::sync::Arc;
+
 use nrmi_heap::{Heap, LinearMap, ObjId, SharedRegistry, Value};
 use nrmi_transport::{decode_rvals, encode_rvals, Frame, Transport, TransportError};
 use nrmi_wire::{apply_delta, deserialize_graph_with};
@@ -34,7 +36,6 @@ use crate::node::{ClientNode, NodeHooks, NodeState, ServerNode};
 use crate::proxy::{handle_callback, RemoteHeapProxy};
 use crate::restore::apply_restore;
 use crate::semantics::{CallOptions, PassMode};
-use crate::warm::WarmCaches;
 
 /// Determines which argument objects are copy-restore roots for a call.
 /// Both sides compute this identically (same registry, same argument
@@ -591,21 +592,15 @@ fn server_handle_call_inner(
     payload: &[u8],
 ) -> Result<Frame, NrmiError> {
     let opts = CallOptions::from_wire(mode_byte)?;
-    let ServerNode {
-        state,
-        services,
-        class_services,
-        replies: _,
-        leases: _,
-    } = server;
+    let ServerNode { state, shared, .. } = server;
     let cost = state.profile.cost();
     let registry = state.heap.registry_handle().clone();
     // Resolve the callee: a named service, or the class behavior of an
     // exported receiver object (prepended to the args below).
     let (service, receiver) = match callee {
         Callee::Named(name) => (
-            services
-                .get_mut(name)
+            shared
+                .service(name)
                 .ok_or_else(|| NrmiError::NoSuchService(name.to_owned()))?,
             None,
         ),
@@ -615,7 +610,7 @@ fn server_handle_call_inner(
                 .lookup(key)
                 .ok_or_else(|| NrmiError::Protocol(format!("call on unknown export key {key}")))?;
             let class = state.heap.get(obj)?.class();
-            let service = class_services.get_mut(&class).ok_or_else(|| {
+            let service = shared.class_service(class).ok_or_else(|| {
                 let name = registry
                     .get(class)
                     .map(|d| d.name().to_owned())
@@ -770,7 +765,7 @@ fn server_handle_call_inner(
 /// This is the server's main loop (one per connection; the paper's
 /// servers are single-threaded per client, multi-threaded across
 /// clients): the blocking driver over the connection engine
-/// ([`crate::engine`]), with `server`'s own reply cache and bindings.
+/// ([`crate::engine`]), executing on `server` itself.
 ///
 /// # Errors
 /// Returns transport errors other than orderly disconnect.
@@ -778,8 +773,8 @@ pub fn serve_connection(
     server: &mut ServerNode,
     transport: &mut dyn Transport,
 ) -> Result<(), NrmiError> {
-    let mut conn = Connection::new(WarmCaches::with_leases(server.leases.clone()));
-    let result = crate::server::serve_blocking(None, server, &mut conn, transport, Vec::new());
-    conn.close(&mut server.state.heap);
+    let mut conn = Connection::new(Arc::clone(server.shared()));
+    let result = crate::server::serve_blocking(server, &mut conn, transport, None);
+    conn.close(server);
     result
 }

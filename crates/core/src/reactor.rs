@@ -24,11 +24,12 @@
 //!   answers it with an escalation: the reactor stops reading the
 //!   connection, waits for its in-flight worker jobs to complete and
 //!   its output queue to drain (so no two threads ever write one
-//!   socket), restores blocking mode, and hands the socket plus every
-//!   frame it had read past the trigger to a dedicated thread running
-//!   the pooled drivers. Idle connections therefore hold **no** node
-//!   state: a connection node is created lazily, only on escalation or
-//!   in a worker.
+//!   socket), restores blocking mode, and hands the socket and the
+//!   trigger frame to a dedicated thread running the pooled drivers,
+//!   which reads every later frame itself, in order, through the
+//!   socket's resumable reader. Idle connections therefore hold **no**
+//!   node state: a connection node is created lazily, only on
+//!   escalation or in a worker.
 //!
 //! ## Protocol invariants
 //!
@@ -58,7 +59,7 @@ use nrmi_transport::poller::{Event, Interest, Poller, Token};
 use nrmi_transport::{Frame, PollableListener, ReactorIo, SendQueue};
 
 #[cfg(unix)]
-use crate::engine::{run_offloaded, Connection, Host, NoCallbackTransport, Step};
+use crate::engine::{run_offloaded, Connection, NoCallbackTransport, Step};
 #[cfg(unix)]
 use crate::error::NrmiError;
 #[cfg(unix)]
@@ -67,8 +68,6 @@ use crate::lockcheck::{LockClass, TrackedMutex};
 use crate::server::{serve_pooled, SharedServer};
 #[cfg(unix)]
 use crate::session::LiveGuard;
-#[cfg(unix)]
-use crate::warm::WarmCaches;
 
 /// Worker threads executing pipelineable cold calls for the whole
 /// reactor — fixed, regardless of connection count.
@@ -115,9 +114,9 @@ struct Conn<C> {
     in_flight: usize,
     /// Interest currently registered with the poller.
     interest: Interest,
-    /// `Some` once an exclusive frame arrived: the trigger frame plus
-    /// everything read after it, replayed by the escalated thread.
-    escalation: Option<Vec<Frame>>,
+    /// `Some` once an exclusive frame arrived: the trigger frame, handed
+    /// to the escalated thread. Nothing after it is read here.
+    escalation: Option<Frame>,
     /// Flush-then-drop (orderly `Shutdown`, or server-side drain).
     closing: bool,
 }
@@ -174,7 +173,7 @@ where
     // Reactor connections own no engine state: without a node, every
     // frame that would touch one escalates, so one engine steps all of
     // them.
-    let mut engine = Connection::with_workers(&shared, WarmCaches::new());
+    let mut engine = Connection::with_workers(Arc::clone(&shared));
     let mut out: Vec<Frame> = Vec::new();
     let (job_tx, job_rx) = mpsc::sync_channel::<ReactorJob>(JOB_QUEUE);
     let (done_tx, done_rx) = mpsc::channel::<(usize, Frame)>();
@@ -196,7 +195,7 @@ where
                 let Ok((token, nonce, seq, call)) = job else {
                     break;
                 };
-                let reply = run_offloaded(&shared, &mut node, nonce, seq, call);
+                let reply = run_offloaded(&mut node, nonce, seq, call);
                 if done_tx.send((token, reply)).is_err() {
                     break;
                 }
@@ -240,7 +239,7 @@ where
         for token in ready {
             let mut conn = conns.remove(&token).expect("token collected above");
             poller.deregister(Token(token));
-            if let Some(stash) = conn.escalation.take() {
+            if let Some(trigger) = conn.escalation.take() {
                 // Quiescent: no worker owns a job for this socket and
                 // the out-queue is empty, so the dedicated thread is
                 // the only writer from here on.
@@ -250,7 +249,7 @@ where
                     let handle = std::thread::spawn(move || {
                         let _guard = LiveGuard(live);
                         let mut transport = conn.io;
-                        let _ = serve_pooled(&shared, &mut transport, stash);
+                        let _ = serve_pooled(&shared, &mut transport, Some(trigger));
                     });
                     ctl.escalated.lock().push(handle);
                     // The escalated thread's LiveGuard now owns the
@@ -375,15 +374,7 @@ where
                 }
             }
             if !dead && (event.readable || event.hangup) {
-                dead = read_burst(
-                    &shared,
-                    &mut engine,
-                    &mut out,
-                    token,
-                    conn,
-                    &job_tx,
-                    &mut overflow,
-                );
+                dead = read_burst(&mut engine, &mut out, token, conn, &job_tx, &mut overflow);
             }
             if dead {
                 poller.deregister(Token(token));
@@ -399,15 +390,7 @@ where
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            if read_burst(
-                &shared,
-                &mut engine,
-                &mut out,
-                token,
-                conn,
-                &job_tx,
-                &mut overflow,
-            ) {
+            if read_burst(&mut engine, &mut out, token, conn, &job_tx, &mut overflow) {
                 poller.deregister(Token(token));
                 conns.remove(&token);
                 ctl.live.fetch_sub(1, Ordering::SeqCst);
@@ -500,7 +483,6 @@ where
 /// connection is dead and must be dropped immediately.
 #[cfg(unix)]
 fn read_burst<C: ReactorIo>(
-    shared: &SharedServer,
     engine: &mut Connection,
     out: &mut Vec<Frame>,
     token: usize,
@@ -515,8 +497,8 @@ fn read_burst<C: ReactorIo>(
         {
             return false;
         }
-        // Frames arriving after an escalation trigger go to the stash
-        // unclassified — the escalated thread replays them in order.
+        // Frames after an escalation trigger stay on the socket,
+        // unclassified — the escalated thread reads them in order.
         if conn.escalation.is_some() {
             return false;
         }
@@ -529,12 +511,7 @@ fn read_burst<C: ReactorIo>(
             // retransmission.
             Err(_) => return true,
         };
-        let step = engine.on_frame(
-            Host::Pool(shared, None),
-            &mut NoCallbackTransport,
-            frame,
-            out,
-        );
+        let step = engine.on_frame(None, &mut NoCallbackTransport, frame, out);
         for reply in out.drain(..) {
             // An oversized reply cannot be framed: the stream is still
             // in sync (nothing was queued), but the call can never be
@@ -558,11 +535,8 @@ fn read_burst<C: ReactorIo>(
                 }
             }
             Ok(Step::Escalate(trigger)) => {
-                conn.escalation = Some(vec![trigger]);
-                // Keep draining frames already decodable so they reach
-                // the stash instead of lingering unread; the next
-                // readiness events stop at the guard above.
-                return drain_to_stash(conn);
+                conn.escalation = Some(trigger);
+                return false;
             }
             // `Shutdown`, an unanswerable reply, or a frame no client
             // may send: flush what is queued, then drop the connection.
@@ -570,25 +544,6 @@ fn read_burst<C: ReactorIo>(
                 conn.closing = true;
                 return false;
             }
-        }
-    }
-}
-
-/// After an escalation trigger: move every frame already available on
-/// the socket into the stash. Returns `true` if the connection died.
-#[cfg(unix)]
-fn drain_to_stash<C: ReactorIo>(conn: &mut Conn<C>) -> bool {
-    loop {
-        match conn.io.try_read_frame() {
-            Ok(Some(frame)) => conn
-                .escalation
-                .as_mut()
-                .expect("escalation set by caller")
-                .push(frame),
-            Ok(None) => return false,
-            // Disconnected with an escalation pending: the stash may
-            // hold calls worth executing, but the client is gone — drop.
-            Err(_) => return true,
         }
     }
 }

@@ -1,44 +1,44 @@
-//! The fine-grained shared server: what several connection threads
-//! dispatch into *without* a one-big-lock [`ServerNode`].
-//!
-//! A node behind one mutex (the big-lock baseline the `nrmi-bench`
-//! scaling ablation measures) funnels every connection through one
-//! `Mutex<ServerNode>` held across call execution — including mid-call
-//! callback traffic to the calling client — so one stalled client
-//! freezes every other connection (head-of-line blocking). This module
-//! splits that state by how it is actually shared, and hosts the
+//! The shared server: what every node of one server shares, and the
 //! blocking and pipelined drivers over the connection engine
-//! ([`crate::engine`]):
+//! ([`crate::engine`]).
+//!
+//! Copy-restore keeps local-call semantics for stateless servers, so a
+//! server's connections share only two things, and a [`ServerNode`]
+//! reaches both through its `Arc<`[`SharedServer`]`>`:
 //!
 //! * **Bindings** (name → service, class → service) are read-mostly:
-//!   they live behind an [`RwLock`](crate::lockcheck::TrackedRwLock) and are
-//!   snapshotted per connection. Each service body itself is `&mut` —
-//!   the paper's §4.1 `synchronized`-equivalent dispatch — so it sits
-//!   behind its *own* mutex ([`SharedService`]), held only for the
-//!   invocation. Calls to *different* services never contend.
-//! * **Heap, export/stub tables, codec scratch** are per-*connection*:
-//!   each accepted connection gets a private [`NodeState`], so wire
-//!   decode, call execution, and reply encode run with no lock other
-//!   than the callee's service mutex. Copy-restore is stateless across
-//!   calls (every call re-marshals its arguments), so confining call
-//!   copies to the connection that made them preserves semantics — and
-//!   disconnect reclaims them wholesale instead of accreting garbage in
-//!   a shared heap.
-//! * **The reply cache** (at-most-once, PR 4) must stay global: a
-//!   reconnect retransmits a call id on a *new* connection and must
-//!   still find the recorded reply or the in-progress marker. It
-//!   becomes a [`ShardedReplyCache`]: N independently locked
-//!   [`ReplyCache`] shards keyed by session nonce, so unrelated
-//!   sessions do not contend and no shard lock is ever held across
-//!   execution — the `begin`/`store` decide-mark-executing-store
-//!   discipline is unchanged.
+//!   they live behind an [`RwLock`](crate::lockcheck::TrackedRwLock),
+//!   read once per call to find the callee and released before it
+//!   runs. Each service body itself is `&mut` — the paper's §4.1
+//!   `synchronized`-equivalent dispatch — so it sits behind its *own*
+//!   mutex ([`ServiceHandle`]), held only for the invocation. Calls to
+//!   *different* services never contend.
+//! * **The reply cache** (at-most-once) is one [`ShardedReplyCache`]:
+//!   a reconnect retransmits a call id on a *new* connection, and a
+//!   node moves between serving alone and serving in a pool, and either
+//!   way the id must still find the recorded reply or the in-progress
+//!   marker. N independently locked [`ReplyCache`] shards keyed by
+//!   session nonce keep unrelated sessions from contending, and no
+//!   shard lock is ever held across execution — the `begin`/`store`
+//!   decide-mark-executing-store discipline.
+//!
+//! Everything else — heap, export/stub tables, codec scratch, warm
+//! leases — is per node: each pooled connection and each worker gets
+//! its own [`ServerNode`] from [`SharedServer::connection_node`], so
+//! wire decode, call execution, and reply encode run with no lock other
+//! than the callee's service mutex. Copy-restore is stateless across
+//! calls (every call re-marshals its arguments), so confining call
+//! copies to the connection that made them preserves semantics — and
+//! disconnect reclaims them wholesale instead of accreting garbage in a
+//! shared heap.
 //!
 //! What this does *not* provide: cross-call ordering between clients
-//! (none was promised — the big lock serialized calls in arrival order,
-//! which no correct client could observe), and cross-connection sharing
-//! of server heap state for named services (no in-tree service relied
-//! on it; services share state through their own captured fields, as
-//! `synchronized` Java methods share fields of the remote object).
+//! (none was promised — a node behind one lock serializes calls in
+//! arrival order, which no correct client could observe), and
+//! cross-connection sharing of server heap state for named services (no
+//! in-tree service relies on it; services share state through their own
+//! captured fields, as `synchronized` Java methods share fields of the
+//! remote object).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +50,7 @@ use nrmi_transport::{
     Frame, MachineSpec, SimEnv, Transport, TransportError, TransportReceiver, TransportSender,
 };
 
-use crate::engine::{run_offloaded, Connection, Host, Step};
+use crate::engine::{run_offloaded, Connection, Step};
 use crate::error::NrmiError;
 use crate::lockcheck::{allow_blocking, LockClass, TrackedMutex, TrackedRwLock};
 use crate::node::{NodeState, ServerNode};
@@ -59,26 +59,24 @@ use crate::reliable::{
     ReplyCache, ReplyDecision, DEFAULT_REPLY_CACHE_BYTES, DEFAULT_REPLY_CACHE_NONCES,
 };
 use crate::service::RemoteService;
-use crate::warm::WarmCaches;
+use crate::warm::LeaseTable;
 
-/// A service binding shared across connection threads: the service body
-/// runs under its own mutex, the `synchronized`-method analogue. The
-/// mutex is held for the duration of one invocation (including any
+/// A bound service, shared by every node of its server: the service
+/// body runs under its own mutex, the `synchronized`-method analogue.
+/// The mutex is held for the duration of one invocation (including any
 /// mid-call callbacks to the *calling* client), so concurrent calls to
 /// the same service serialize — and calls to different services do not.
-type ServiceHandle = Arc<TrackedMutex<Box<dyn RemoteService>>>;
+#[derive(Clone)]
+pub(crate) struct ServiceHandle(Arc<TrackedMutex<Box<dyn RemoteService>>>);
 
-fn service_handle(service: Box<dyn RemoteService>) -> ServiceHandle {
-    Arc::new(TrackedMutex::new(LockClass::Service, service))
-}
+impl ServiceHandle {
+    pub(crate) fn new(service: Box<dyn RemoteService>) -> Self {
+        ServiceHandle(Arc::new(TrackedMutex::new(LockClass::Service, service)))
+    }
 
-/// Per-connection adapter: implements [`RemoteService`] by locking the
-/// shared binding for each invocation.
-struct SharedService(ServiceHandle);
-
-impl RemoteService for SharedService {
-    fn invoke(
-        &mut self,
+    /// Invokes the service under its mutex.
+    pub(crate) fn invoke(
+        &self,
         method: &str,
         args: &[Value],
         heap: &mut dyn HeapAccess,
@@ -192,82 +190,61 @@ impl ShardedReplyCache {
 }
 
 /// Name and class bindings, read-mostly behind one
-/// [`TrackedRwLock`] (class `bindings`): connection setup takes a read
-/// snapshot, [`SharedServer::bind`] takes the write lock.
-struct Bindings {
-    services: HashMap<String, ServiceHandle>,
-    class_services: HashMap<ClassId, ServiceHandle>,
+/// [`TrackedRwLock`] (class `bindings`): each call reads it to find its
+/// callee, [`ServerNode::bind`] writes it.
+pub(crate) struct Bindings {
+    pub(crate) services: HashMap<String, ServiceHandle>,
+    pub(crate) class_services: HashMap<ClassId, ServiceHandle>,
 }
 
-/// The lock-split shared server state: everything connection workers
-/// share, and nothing they don't. Built from a configured
-/// [`ServerNode`] with [`SharedServer::from_node`]; gives the node back
-/// (services unwrapped, root state untouched) with
-/// [`SharedServer::into_node`] once every worker has finished.
+/// What every node of one server shares, and nothing it doesn't: the
+/// configuration new nodes are built with, the bindings, and the
+/// at-most-once reply cache. Every [`ServerNode`] holds it through an
+/// [`Arc`]; [`SharedServer::connection_node`] builds another node
+/// around it.
 pub struct SharedServer {
     registry: SharedRegistry,
     machine: MachineSpec,
     profile: RuntimeProfile,
     env: Option<SimEnv>,
-    bindings: TrackedRwLock<Bindings>,
-    /// The global at-most-once reply cache (see [`ShardedReplyCache`]).
+    pub(crate) bindings: TrackedRwLock<Bindings>,
+    /// The at-most-once reply cache (see [`ShardedReplyCache`]).
     pub replies: ShardedReplyCache,
-    /// The root node state the server was built from, returned by
-    /// [`SharedServer::into_node`]. Connection workers never touch it.
-    root: TrackedMutex<Option<NodeState>>,
 }
 
 impl std::fmt::Debug for SharedServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedServer")
-            .field("services", &self.bindings.read().services.len())
+            .field("services", &self.bindings.read().services.keys())
+            .field("replies", &self.replies.len())
             .finish()
     }
 }
 
 impl SharedServer {
-    /// Splits a configured [`ServerNode`] into shared server state:
-    /// each bound service moves behind its own mutex, the reply cache
-    /// becomes sharded, and the node state is kept aside for
-    /// [`SharedServer::into_node`].
-    pub fn from_node(node: ServerNode) -> Self {
-        let ServerNode {
-            state,
-            services,
-            class_services,
-            replies: _,
-            leases: _,
-        } = node;
+    /// A server with no bindings and an empty reply cache, whose nodes
+    /// model `machine` under `profile`, accounting simulated cost to
+    /// `env`.
+    pub(crate) fn new(
+        registry: SharedRegistry,
+        machine: MachineSpec,
+        profile: RuntimeProfile,
+        env: Option<SimEnv>,
+    ) -> Self {
         SharedServer {
-            registry: state.heap.registry_handle().clone(),
-            machine: state.machine.clone(),
-            profile: state.profile,
-            env: state.env.clone(),
+            registry,
+            machine,
+            profile,
+            env,
             bindings: TrackedRwLock::new(
                 LockClass::Bindings,
                 Bindings {
-                    services: services
-                        .into_iter()
-                        .map(|(name, svc)| (name, service_handle(svc)))
-                        .collect(),
-                    class_services: class_services
-                        .into_iter()
-                        .map(|(class, svc)| (class, service_handle(svc)))
-                        .collect(),
+                    services: HashMap::new(),
+                    class_services: HashMap::new(),
                 },
             ),
             replies: ShardedReplyCache::default(),
-            root: TrackedMutex::new(LockClass::NodeHeap, Some(state)),
         }
-    }
-
-    /// Binds `service` under `name` for connections accepted *after*
-    /// this call (each connection snapshots the bindings at accept).
-    pub fn bind(&self, name: impl Into<String>, service: Box<dyn RemoteService>) {
-        self.bindings
-            .write()
-            .services
-            .insert(name.into(), service_handle(service));
     }
 
     /// True if `name` is currently bound.
@@ -275,44 +252,30 @@ impl SharedServer {
         self.bindings.read().services.contains_key(name)
     }
 
-    /// Builds the private [`ServerNode`] a connection worker serves
-    /// with: a fresh [`NodeState`] (own heap, export/stub tables, codec
-    /// scratch — no lock needed on any of them) plus locking adapters
-    /// for every shared service binding.
-    pub fn connection_node(&self) -> ServerNode {
+    /// The service bound under `name`. The table lock is released
+    /// before the caller invokes it: an invocation can make mid-call
+    /// callbacks.
+    pub(crate) fn service(&self, name: &str) -> Option<ServiceHandle> {
+        self.bindings.read().services.get(name).cloned()
+    }
+
+    /// The behavior bound to remote-marked `class`.
+    pub(crate) fn class_service(&self, class: ClassId) -> Option<ServiceHandle> {
+        self.bindings.read().class_services.get(&class).cloned()
+    }
+
+    /// Builds another node of this server — a connection's or a
+    /// worker's: a fresh [`NodeState`] (own heap, export/stub tables,
+    /// codec scratch, warm leases — no lock needed on any of them)
+    /// around a clone of this `Arc`.
+    pub fn connection_node(self: &Arc<Self>) -> ServerNode {
         let mut state = NodeState::new(self.registry.clone(), self.machine.clone());
         state.profile = self.profile;
         state.env = self.env.clone();
-        let bindings = self.bindings.read();
         ServerNode {
             state,
-            services: bindings
-                .services
-                .iter()
-                .map(|(name, svc)| {
-                    (
-                        name.clone(),
-                        Box::new(SharedService(Arc::clone(svc))) as Box<dyn RemoteService>,
-                    )
-                })
-                .collect(),
-            class_services: bindings
-                .class_services
-                .iter()
-                .map(|(&class, svc)| {
-                    (
-                        class,
-                        Box::new(SharedService(Arc::clone(svc))) as Box<dyn RemoteService>,
-                    )
-                })
-                .collect(),
-            // Unused by the pooled serve loop (tagged calls go through
-            // the shared `replies` shards), present for type uniformity.
-            replies: ReplyCache::default(),
-            // Each pooled connection has a private heap, so its warm
-            // sessions never alias another connection's; a fresh table
-            // per connection node is exact.
-            leases: crate::warm::new_lease_table(),
+            leases: LeaseTable::default(),
+            shared: Arc::clone(self),
         }
     }
 
@@ -327,51 +290,12 @@ impl SharedServer {
     pub(crate) fn offloadable(&self) -> bool {
         !self.registry.iter().any(|(_, desc)| desc.flags().remote)
     }
-
-    /// Reassembles the [`ServerNode`] this server was built from. Call
-    /// only after every connection worker has finished (they hold
-    /// references to the service bindings); a binding still referenced
-    /// elsewhere is dropped from the returned node.
-    pub fn into_node(self) -> ServerNode {
-        let SharedServer { bindings, root, .. } = self;
-        let Bindings {
-            services,
-            class_services,
-        } = bindings.into_inner();
-        let state = root
-            .into_inner()
-            .expect("into_node consumes the root state once");
-        let mut node = ServerNode {
-            state,
-            services: HashMap::new(),
-            class_services: HashMap::new(),
-            replies: ReplyCache::default(),
-            leases: crate::warm::new_lease_table(),
-        };
-        for (name, svc) in services {
-            match Arc::try_unwrap(svc) {
-                Ok(mutex) => {
-                    node.services.insert(name, mutex.into_inner());
-                }
-                Err(_) => debug_assert!(false, "service {name:?} still referenced by a worker"),
-            }
-        }
-        for (class, svc) in class_services {
-            match Arc::try_unwrap(svc) {
-                Ok(mutex) => {
-                    node.class_services.insert(class, mutex.into_inner());
-                }
-                Err(_) => debug_assert!(false, "class service still referenced by a worker"),
-            }
-        }
-        node
-    }
 }
 
-/// Serves one connection against the lock-split [`SharedServer`] until
-/// the peer disconnects or sends `Shutdown`. The connection's heap, warm
-/// caches, and codec scratch are private, so a stalled client — even
-/// one blocked mid-call inside a callback — holds nothing another
+/// Serves one connection on a fresh node of `shared` until the peer
+/// disconnects or sends `Shutdown`. The connection's heap, warm caches,
+/// and codec scratch are private, so a stalled client — even one
+/// blocked mid-call inside a callback — holds nothing another
 /// connection waits on except the mutex of the service it is executing
 /// in.
 ///
@@ -387,57 +311,52 @@ impl SharedServer {
 /// # Errors
 /// Returns transport errors other than orderly disconnect.
 pub fn serve_connection_pooled(
-    shared: &SharedServer,
+    shared: &Arc<SharedServer>,
     transport: &mut dyn Transport,
 ) -> Result<(), NrmiError> {
-    serve_pooled(shared, transport, Vec::new())
+    serve_pooled(shared, transport, None)
 }
 
-/// [`serve_connection_pooled`] with `stash` — frames already read off
-/// the transport — processed first, in order. The reactor escalates a
-/// connection through here, handing over the frames it read past the
-/// escalation trigger; the connection node is created here, lazily:
-/// reactor-owned connections carry no node state until they need it.
+/// [`serve_connection_pooled`] with `first` — a frame already read off
+/// the transport — processed first. The reactor escalates a connection
+/// through here, handing over the frame that triggered the escalation;
+/// the frames after it are still on the transport, and are read here in
+/// order. The connection node is created here, lazily: reactor-owned
+/// connections carry no node state until they need it.
 pub(crate) fn serve_pooled(
-    shared: &SharedServer,
+    shared: &Arc<SharedServer>,
     transport: &mut dyn Transport,
-    stash: Vec<Frame>,
+    first: Option<Frame>,
 ) -> Result<(), NrmiError> {
     let mut node = shared.connection_node();
-    let warm = WarmCaches::with_leases(node.leases.clone());
     let (mut conn, halves) = match transport.split() {
-        Some(halves) => (Connection::with_workers(shared, warm), Some(halves)),
-        None => (Connection::new(warm), None),
+        Some(halves) => (Connection::with_workers(Arc::clone(shared)), Some(halves)),
+        None => (Connection::new(Arc::clone(shared)), None),
     };
     let result = match halves {
-        Some((sender, receiver)) => {
-            serve_pipelined(shared, &mut node, &mut conn, sender, receiver, stash)
-        }
-        None => serve_blocking(Some(shared), &mut node, &mut conn, transport, stash),
+        Some((sender, receiver)) => serve_pipelined(&mut node, &mut conn, sender, receiver, first),
+        None => serve_blocking(&mut node, &mut conn, transport, first),
     };
     // Disconnect releases the connection's warm sessions; the rest of
     // the private heap (cold-call copies included) goes with the node
     // itself, so a long-lived server does not accumulate call copies
     // across clients.
-    conn.close(&mut node.state.heap);
+    conn.close(&mut node);
     result
 }
 
-/// The blocking driver: reads one frame at a time (`stash` first), runs
-/// it through the engine on this thread, and writes what the step
-/// produced before reading again. `shared` is the pool the connection
-/// belongs to, or `None` when `node` serves it alone.
+/// The blocking driver: reads one frame at a time (`first` first), runs
+/// it through the engine against `node` on this thread, and writes what
+/// the step produced before reading again.
 pub(crate) fn serve_blocking(
-    shared: Option<&SharedServer>,
     node: &mut ServerNode,
     conn: &mut Connection,
     transport: &mut dyn Transport,
-    stash: Vec<Frame>,
+    mut first: Option<Frame>,
 ) -> Result<(), NrmiError> {
-    let mut stash = stash.into_iter();
     let mut out = Vec::new();
     loop {
-        let frame = match stash.next() {
+        let frame = match first.take() {
             Some(frame) => frame,
             None => match transport.recv() {
                 Ok(frame) => frame,
@@ -445,18 +364,14 @@ pub(crate) fn serve_blocking(
                 Err(e) => return Err(e.into()),
             },
         };
-        let host = match shared {
-            Some(shared) => Host::Pool(shared, Some(&mut *node)),
-            None => Host::Node(&mut *node),
-        };
-        let step = conn.on_frame(host, transport, frame, &mut out)?;
+        let step = conn.on_frame(Some(&mut *node), transport, frame, &mut out)?;
         for frame in out.drain(..) {
             transport.send(&frame)?;
         }
         match step {
             Step::Continue => {}
             Step::Close => return Ok(()),
-            // The host has a node and the connection no workers.
+            // The step has a node and the connection no workers.
             Step::Offload { .. } | Step::Escalate(_) => {
                 unreachable!("a blocking connection executes every frame itself")
             }
@@ -548,13 +463,13 @@ impl Transport for ConnIo<'_> {
 /// this thread, replies through a dedicated writer thread, offloaded
 /// calls on [`PIPELINE_WORKERS`] workers when the connection offloads.
 fn serve_pipelined(
-    shared: &SharedServer,
     node: &mut ServerNode,
     conn: &mut Connection,
     mut sender: Box<dyn TransportSender>,
     mut receiver: Box<dyn TransportReceiver>,
-    stash: Vec<Frame>,
+    first: Option<Frame>,
 ) -> Result<(), NrmiError> {
+    let shared = Arc::clone(node.shared());
     // Both queues are bounded: a send on a full queue blocks the
     // producer, propagating a stalled client back to the reader instead
     // of buffering replies without limit (see PIPELINE_REPLY_QUEUE).
@@ -598,6 +513,7 @@ fn serve_pipelined(
         for _ in 0..workers {
             let worker_writer = writer_tx.clone();
             let job_rx = &job_rx;
+            let shared = &shared;
             scope.spawn(move || {
                 // Per-worker private node state, the same isolation a
                 // connection gets — workers of one connection contend
@@ -608,18 +524,17 @@ fn serve_pipelined(
                     let Ok((nonce, seq, call)) = job else {
                         break;
                     };
-                    let _ = worker_writer.send(run_offloaded(shared, &mut node, nonce, seq, call));
+                    let _ = worker_writer.send(run_offloaded(&mut node, nonce, seq, call));
                 }
             });
         }
         let result = pipelined_recv_loop(
-            shared,
             node,
             conn,
             receiver.as_mut(),
             &writer_tx,
             &job_tx,
-            VecDeque::from(stash),
+            first.into_iter().collect(),
         );
         // Reader done: closing the job queue drains the workers (they
         // finish queued calls and push the replies), and closing our
@@ -646,15 +561,14 @@ fn serve_pipelined(
 /// offloaded calls through the job queue. Calls the engine executes
 /// here run exclusively, in arrival order.
 fn pipelined_recv_loop(
-    shared: &SharedServer,
     node: &mut ServerNode,
     conn: &mut Connection,
     receiver: &mut dyn TransportReceiver,
     writer_tx: &mpsc::SyncSender<Frame>,
     job_tx: &mpsc::SyncSender<PipelineJob>,
     // Frames read while a call was waiting on its callback replies (and
-    // any handed over at escalation); processed before reading the
-    // socket again.
+    // the trigger handed over at escalation); processed before reading
+    // the socket again.
     mut stash: VecDeque<Frame>,
 ) -> Result<(), NrmiError> {
     let mut out = Vec::new();
@@ -672,12 +586,7 @@ fn pipelined_recv_loop(
             receiver: &mut *receiver,
             stash: &mut stash,
         };
-        let step = conn.on_frame(
-            Host::Pool(shared, Some(&mut *node)),
-            &mut io,
-            frame,
-            &mut out,
-        )?;
+        let step = conn.on_frame(Some(&mut *node), &mut io, frame, &mut out)?;
         for frame in out.drain(..) {
             // A send into the writer channel only fails after the writer
             // hit a connection error; `writer_err` carries the cause, so
@@ -817,10 +726,7 @@ mod tests {
         }
 
         let registry = nrmi_heap::ClassRegistry::new().snapshot();
-        let shared = Arc::new(SharedServer::from_node(ServerNode::new(
-            registry,
-            MachineSpec::fast(),
-        )));
+        let shared = Arc::clone(ServerNode::new(registry, MachineSpec::fast()).shared());
         let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let consumed = Arc::new(AtomicUsize::new(0));
@@ -837,8 +743,8 @@ mod tests {
             });
             std::thread::spawn(move || {
                 let mut node = shared.connection_node();
-                let mut conn = Connection::with_workers(&shared, WarmCaches::new());
-                serve_pipelined(&shared, &mut node, &mut conn, sender, receiver, Vec::new())
+                let mut conn = Connection::with_workers(Arc::clone(&shared));
+                serve_pipelined(&mut node, &mut conn, sender, receiver, None)
             })
         };
 

@@ -31,6 +31,7 @@ use crate::protocol::{
 };
 use crate::reliable::{ReliableTransport, RetryPolicy};
 use crate::semantics::CallOptions;
+use crate::server::SharedServer;
 use crate::service::RemoteService;
 
 /// Configures and launches a [`Session`].
@@ -95,11 +96,13 @@ impl SessionBuilder {
     /// Launches the server thread and returns the connected session.
     pub fn build(self) -> Session {
         let (client_t, mut server_t) = channel_pair(self.env.clone(), self.link);
-        let mut server = ServerNode::new(self.registry.clone(), self.server_machine);
-        if let Some(env) = &self.env {
-            server.state.env = Some(env.clone());
-            server.state.profile = self.profile;
-        }
+        let mut server = Arc::new(SharedServer::new(
+            self.registry.clone(),
+            self.server_machine,
+            self.profile,
+            self.env.clone(),
+        ))
+        .connection_node();
         for (name, service) in self.services {
             server.bind(name, service);
         }
@@ -630,12 +633,12 @@ pub fn serve_tcp(
     Ok(())
 }
 
-/// Serves `max_connections` connections **concurrently** over the
-/// lock-split [`SharedServer`](crate::server::SharedServer), then
-/// returns the server node once every connection has ended. A
-/// compatibility wrapper over [`ServerPool`] for callers that know
-/// their connection count up front; everyone else should hold a
-/// [`ServeHandle`] and call [`ServeHandle::shutdown`] when done.
+/// Serves `max_connections` connections **concurrently**, each on its
+/// own node of `server`'s [`SharedServer`], then returns the server
+/// node once every connection has ended. A compatibility wrapper over
+/// [`ServerPool`] for callers that know their connection count up
+/// front; everyone else should hold a [`ServeHandle`] and call
+/// [`ServeHandle::shutdown`] when done.
 ///
 /// # Errors
 /// Socket failures on accept (surfaced after in-flight connections
@@ -654,10 +657,10 @@ pub fn serve_tcp_concurrent(
 }
 
 /// Configures and launches a multi-client serve loop: an accept thread
-/// plus one worker thread per live connection, all dispatching into the
-/// lock-split [`SharedServer`](crate::server::SharedServer) — no
-/// one-big-lock [`ServerNode`], so independent clients execute
-/// concurrently and a client stalled mid-call cannot freeze the others.
+/// plus one worker thread per live connection, each serving on its own
+/// node of the server's [`SharedServer`] — no one-big-lock
+/// [`ServerNode`], so independent clients execute concurrently and a
+/// client stalled mid-call cannot freeze the others.
 ///
 /// ```no_run
 /// use nrmi_core::{ServerNode, ServerPool};
@@ -716,15 +719,15 @@ impl ServerPool {
         self
     }
 
-    /// Splits `server` into shared state, spawns the accept loop on its
-    /// own thread, and returns the handle controlling it. Works over
-    /// any [`Listener`] (TCP, Unix-domain).
+    /// Spawns the accept loop on its own thread and returns the handle
+    /// controlling it, which keeps `server` until the pool ends. Works
+    /// over any [`Listener`] (TCP, Unix-domain).
     pub fn serve<L>(self, server: ServerNode, listener: L) -> ServeHandle
     where
         L: Listener + Send + 'static,
     {
+        let shared = Arc::clone(server.shared());
         let mut handle = ServeHandle::new(server);
-        let shared = handle.shared();
         let stop = Arc::clone(&handle.stop);
         let live = Arc::clone(&handle.live);
         let served = Arc::clone(&handle.served);
@@ -801,6 +804,7 @@ impl ServerPool {
         L::Conn: nrmi_transport::ReactorIo + Send + 'static,
     {
         let poller = nrmi_transport::Poller::new()?;
+        let shared = Arc::clone(server.shared());
         let mut handle = ServeHandle::new(server);
         handle.waker = Some(poller.waker());
         let config = crate::reactor::ReactorConfig {
@@ -814,7 +818,6 @@ impl ServerPool {
             escalated: Arc::clone(&handle.workers),
             accept_error: Arc::clone(&handle.accept_error),
         };
-        let shared = handle.shared();
         handle.accept_thread = Some(std::thread::spawn(move || {
             crate::reactor::run_reactor(shared, listener, poller, config, ctl)
         }));
@@ -838,7 +841,9 @@ impl Drop for LiveGuard {
 /// total-connection limit with [`ServeHandle::join`].
 #[derive(Debug)]
 pub struct ServeHandle {
-    shared: Option<Arc<crate::server::SharedServer>>,
+    /// The node the pool was launched with, returned by `shutdown` and
+    /// `join`. Connection workers serve on nodes of its shared state.
+    root: Option<ServerNode>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<Result<(), NrmiError>>>,
     accept_error: Arc<TrackedMutex<Option<String>>>,
@@ -852,10 +857,10 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// A handle over `server`'s shared state, with nothing serving yet.
+    /// A handle keeping `server`, with nothing serving yet.
     fn new(server: ServerNode) -> Self {
         ServeHandle {
-            shared: Some(Arc::new(crate::server::SharedServer::from_node(server))),
+            root: Some(server),
             stop: Arc::default(),
             accept_thread: None,
             accept_error: Arc::new(TrackedMutex::new(LockClass::Control, None)),
@@ -865,10 +870,6 @@ impl ServeHandle {
             #[cfg(unix)]
             waker: None,
         }
-    }
-
-    fn shared(&self) -> Arc<crate::server::SharedServer> {
-        Arc::clone(self.shared.as_ref().expect("shared until finish"))
     }
 
     /// Connections currently being served.
@@ -890,8 +891,7 @@ impl ServeHandle {
 
     /// Stops accepting (the accept loop notices within its poll
     /// interval — no dummy connection required), waits for in-flight
-    /// connections to disconnect, and returns the reassembled server
-    /// node.
+    /// connections to disconnect, and returns the server node.
     ///
     /// # Errors
     /// An accept-loop failure recorded before shutdown.
@@ -930,18 +930,10 @@ impl ServeHandle {
         for handle in handles {
             worker_panicked |= handle.join().is_err();
         }
-        let shared = self
-            .shared
+        let node = self
+            .root
             .take()
             .expect("finish runs once (shutdown/join consume the handle)");
-        let node = match Arc::try_unwrap(shared) {
-            Ok(shared) => shared.into_node(),
-            Err(_) => {
-                return Err(NrmiError::Protocol(
-                    "server workers still hold the shared state".into(),
-                ))
-            }
-        };
         match accept_result {
             Ok(Ok(())) if worker_panicked => {
                 Err(NrmiError::Protocol("a connection worker panicked".into()))

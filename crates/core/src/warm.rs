@@ -48,7 +48,6 @@
 //! [`LeaseTable`].
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use nrmi_heap::{ClassId, DensePositionMap, Heap, LinearMap, ObjId, Value};
 use nrmi_transport::{Frame, Transport};
@@ -58,7 +57,6 @@ use nrmi_wire::{
 };
 
 use crate::error::NrmiError;
-use crate::lockcheck::TrackedMutex;
 use crate::node::{ClientNode, NodeHooks, NodeState, ServerNode};
 use crate::protocol::{client_invoke_with_stats, restore_roots_of, CallStats};
 use crate::proxy::{handle_callback, RemoteHeapProxy};
@@ -621,14 +619,13 @@ pub fn client_evict_warm(
 // ---------------------------------------------------------------------------
 
 /// Which warm sessions currently cover which heap objects, across every
-/// connection serving one node. Kept on [`ServerNode::leases`] and
-/// mirrored by every [`WarmCaches`] built with
-/// [`with_leases`](WarmCaches::with_leases): an entry's sync objects are
-/// registered when the entry is (re)inserted and unregistered when it is
-/// taken out, so an orderly eviction can free exactly the objects no
-/// OTHER session still reads — one client disconnecting no longer
-/// poisons a second client's warm session by freeing the shared graph
-/// out from under it.
+/// connection serving one node: a plain field of the node
+/// ([`ServerNode::leases`]), borrowed by every [`WarmCaches`] operation
+/// on that node's heap. An entry's sync objects are registered when the
+/// entry is (re)inserted and unregistered when it is taken out, so an
+/// orderly eviction can free exactly the objects no OTHER session still
+/// reads — one client disconnecting no longer poisons a second client's
+/// warm session by freeing the shared graph out from under it.
 ///
 /// The table is a refcount per object, which is exact under two
 /// invariants the [`WarmCaches`] funnel maintains: a sync list never
@@ -638,22 +635,9 @@ pub fn client_evict_warm(
 /// per-object holder lists keep the steady-state warm call free of
 /// allocations — the count map's capacity persists across the per-call
 /// take/put cycle.
-///
-/// Lock discipline: always a leaf. Critical sections are pure map
-/// updates; no other lock (and no transport I/O) is ever taken while a
-/// lease guard is held, so the only learned order is node → lease-table.
 #[derive(Debug, Default)]
 pub struct LeaseTable {
     covers: HashMap<ObjId, u32>,
-}
-
-/// Builds a fresh shared lease-table handle — one per server heap
-/// (normally owned by [`ServerNode::leases`]).
-pub(crate) fn new_lease_table() -> Arc<TrackedMutex<LeaseTable>> {
-    Arc::new(TrackedMutex::new(
-        crate::lockcheck::LockClass::LeaseTable,
-        LeaseTable::new(),
-    ))
 }
 
 impl LeaseTable {
@@ -724,31 +708,18 @@ struct ServerWarmEntry {
 
 /// The warm caches of one server connection. Each connection owns its
 /// own set (created by the serve loop), so a client can only ever
-/// address caches it seeded itself. Connections serving a node shared
-/// with others build the set with [`with_leases`](WarmCaches::with_leases),
-/// which coordinates evictions through the node's [`LeaseTable`].
+/// address caches it seeded itself. Every operation that inserts or
+/// removes an entry borrows the serving node's [`LeaseTable`], which
+/// coordinates evictions across the node's connections.
 #[derive(Debug, Default)]
 pub struct WarmCaches {
     entries: HashMap<u64, ServerWarmEntry>,
-    /// Cross-session lease table; `None` keeps the legacy one-owner
-    /// behavior (evictions free unconditionally).
-    leases: Option<Arc<TrackedMutex<LeaseTable>>>,
 }
 
 impl WarmCaches {
-    /// Creates an empty cache set with no lease coordination.
+    /// Creates an empty cache set.
     pub fn new() -> Self {
         WarmCaches::default()
-    }
-
-    /// Creates an empty cache set registered with a node's lease table
-    /// (normally [`ServerNode::leases`]). All cache sets serving the
-    /// same node must share one table for eviction safety.
-    pub fn with_leases(leases: Arc<TrackedMutex<LeaseTable>>) -> Self {
-        WarmCaches {
-            entries: HashMap::new(),
-            leases: Some(leases),
-        }
     }
 
     /// Number of live entries.
@@ -784,29 +755,25 @@ impl WarmCaches {
 
     /// Takes an entry out, releasing its leases. Every removal funnels
     /// through here so the lease table mirrors `entries` exactly.
-    fn take_entry(&mut self, cache_id: u64) -> Option<ServerWarmEntry> {
+    fn take_entry(&mut self, leases: &mut LeaseTable, cache_id: u64) -> Option<ServerWarmEntry> {
         let entry = self.entries.remove(&cache_id)?;
-        if let Some(leases) = &self.leases {
-            leases.lock().unregister(&entry.sync);
-        }
+        leases.unregister(&entry.sync);
         Some(entry)
     }
 
     /// Inserts an entry, registering its leases. The twin of
     /// [`take_entry`](Self::take_entry).
-    fn put_entry(&mut self, cache_id: u64, entry: ServerWarmEntry) {
-        if let Some(leases) = &self.leases {
-            leases.lock().register(&entry.sync);
-        }
+    fn put_entry(&mut self, leases: &mut LeaseTable, cache_id: u64, entry: ServerWarmEntry) {
+        leases.register(&entry.sync);
         self.entries.insert(cache_id, entry);
     }
 
-    /// Handles a client eviction notice: frees the cached graph. The
-    /// notice asserts the client is done with the session graph (the
-    /// warm twin of a DGC clean); slots already freed or never seeded
-    /// are ignored.
-    pub fn evict(&mut self, heap: &mut Heap, cache_id: u64) {
-        let Some(entry) = self.take_entry(cache_id) else {
+    /// Handles a client eviction notice: frees the cached graph from
+    /// `heap`, whose sessions `leases` records. The notice asserts the
+    /// client is done with the session graph (the warm twin of a DGC
+    /// clean); slots already freed or never seeded are ignored.
+    pub fn evict(&mut self, heap: &mut Heap, leases: &mut LeaseTable, cache_id: u64) {
+        let Some(entry) = self.take_entry(leases, cache_id) else {
             return;
         };
         // Free the graph only if every synchronized slot still holds the
@@ -823,34 +790,24 @@ impl WarmCaches {
         if !coherent(heap, &entry) {
             return;
         }
-        match &self.leases {
-            None => {
-                for id in entry.sync {
-                    let _ = heap.free(id);
-                }
-            }
-            Some(leases) => {
-                // Free only what no OTHER session still covers: on a
-                // shared node, a second client's warm session may read
-                // the same graph, and freeing it here would dangle that
-                // session's handles (the evict-on-disconnect bug this
-                // table exists to fix). Objects left covered are freed
-                // by whichever eviction drops the last lease.
-                let table = leases.lock();
-                for id in entry.sync {
-                    if !table.is_covered(id) {
-                        let _ = heap.free(id);
-                    }
-                }
+        // Free only what no OTHER session still covers: on a shared
+        // node, a second client's warm session may read the same graph,
+        // and freeing it here would dangle that session's handles (the
+        // evict-on-disconnect bug the lease table exists to fix).
+        // Objects left covered are freed by whichever eviction drops
+        // the last lease.
+        for id in entry.sync {
+            if !leases.is_covered(id) {
+                let _ = heap.free(id);
             }
         }
     }
 
     /// Frees every cached graph (connection teardown).
-    pub fn release_all(&mut self, heap: &mut Heap) {
+    pub fn release_all(&mut self, heap: &mut Heap, leases: &mut LeaseTable) {
         let ids: Vec<u64> = self.entries.keys().copied().collect();
         for id in ids {
-            self.evict(heap, id);
+            self.evict(heap, leases, id);
         }
     }
 }
@@ -948,7 +905,7 @@ fn revalidate_entry(
     record_versions(&state.heap, &entry.sync, &mut entry.versions);
     entry.version += 1;
     let version = entry.version;
-    caches.put_entry(cache_id, entry);
+    caches.put_entry(&mut server.leases, cache_id, entry);
     Frame::CacheStale {
         cache_id,
         version,
@@ -966,43 +923,42 @@ fn revalidate_entry(
 /// out-of-band are dropped (unfreed) — the client discovers the loss as
 /// an ordinary `CacheMiss` on its next call.
 fn collect_stale_pushes(server: &mut ServerNode, caches: &mut WarmCaches, out: &mut Vec<Frame>) {
-    let state = &mut server.state;
-    let WarmCaches { entries, leases } = caches;
-    entries.retain(|&cache_id, entry| match classify(&state.heap, entry) {
-        Staleness::Clean => true,
-        Staleness::Dirty(dirty) => {
-            // Unencodable (e.g. a dangling edge) or splicing: leave the
-            // entry stale; the next warm call repairs or drops it
-            // through the same classification.
-            let Ok(enc) = encode_invalidation(&state.heap, &entry.sync, &dirty) else {
-                return true;
-            };
-            if !enc.new_objects.is_empty() {
-                return true;
+    let ServerNode { state, leases, .. } = server;
+    caches
+        .entries
+        .retain(|&cache_id, entry| match classify(&state.heap, entry) {
+            Staleness::Clean => true,
+            Staleness::Dirty(dirty) => {
+                // Unencodable (e.g. a dangling edge) or splicing: leave the
+                // entry stale; the next warm call repairs or drops it
+                // through the same classification.
+                let Ok(enc) = encode_invalidation(&state.heap, &entry.sync, &dirty) else {
+                    return true;
+                };
+                if !enc.new_objects.is_empty() {
+                    return true;
+                }
+                let cost = state.profile.cost();
+                state.charge_cpu(
+                    enc.stats.dirty_count as f64 * cost.ser_per_obj_us
+                        + enc.bytes.len() as f64 * cost.per_byte_us,
+                );
+                // A pure patch leaves the sync list (and so its leases) as
+                // it was; only the version vector moves.
+                record_versions(&state.heap, &entry.sync, &mut entry.versions);
+                entry.version += 1;
+                out.push(Frame::CacheStale {
+                    cache_id,
+                    version: entry.version,
+                    payload: enc.bytes,
+                });
+                true
             }
-            let cost = state.profile.cost();
-            state.charge_cpu(
-                enc.stats.dirty_count as f64 * cost.ser_per_obj_us
-                    + enc.bytes.len() as f64 * cost.per_byte_us,
-            );
-            // A pure patch leaves the sync list (and so its leases) as
-            // it was; only the version vector moves.
-            record_versions(&state.heap, &entry.sync, &mut entry.versions);
-            entry.version += 1;
-            out.push(Frame::CacheStale {
-                cache_id,
-                version: entry.version,
-                payload: enc.bytes,
-            });
-            true
-        }
-        Staleness::Lost => {
-            if let Some(leases) = leases {
-                leases.lock().unregister(&entry.sync);
+            Staleness::Lost => {
+                leases.unregister(&entry.sync);
+                false
             }
-            false
-        }
-    });
+        });
 }
 
 /// Dispatches one warm-protocol frame — a warm/seed call or an eviction
@@ -1041,7 +997,7 @@ pub(crate) fn dispatch_warm_frame(
             server, caches, transport, &service, &method, mode, cache_id, generation, &payload,
         ),
         Frame::CacheEvict { cache_id } => {
-            caches.evict(&mut server.state.heap, cache_id);
+            caches.evict(&mut server.state.heap, &mut server.leases, cache_id);
             return;
         }
         other => {
@@ -1077,7 +1033,7 @@ pub(crate) fn server_handle_warm_call(
         // Take the entry out up front: every non-success path below must
         // leave it dropped (the client drops its side symmetrically);
         // only a completed call or an in-place repair re-inserts it.
-        let Some(entry) = caches.take_entry(cache_id) else {
+        let Some(entry) = caches.take_entry(&mut server.leases, cache_id) else {
             return Frame::CacheMiss;
         };
         if entry.generation != generation {
@@ -1141,12 +1097,14 @@ fn server_seed_call(
 ) -> Result<Frame, NrmiError> {
     let opts = CallOptions::from_wire(mode_byte)?;
     let ServerNode {
-        state, services, ..
+        state,
+        leases,
+        shared,
     } = server;
     let cost = state.profile.cost();
     let registry = state.heap.registry_handle().clone();
-    let svc = services
-        .get_mut(service)
+    let svc = shared
+        .service(service)
         .ok_or_else(|| NrmiError::NoSuchService(service.to_owned()))?;
 
     let mut hooks = NodeHooks::new(&mut state.exports, &mut state.stubs);
@@ -1181,6 +1139,7 @@ fn server_seed_call(
             let mut versions = Vec::new();
             record_versions(&state.heap, &sync, &mut versions);
             caches.put_entry(
+                leases,
                 cache_id,
                 ServerWarmEntry {
                     generation: 1,
@@ -1219,11 +1178,13 @@ fn server_warm_call(
     payload: &[u8],
 ) -> Result<Frame, NrmiError> {
     let ServerNode {
-        state, services, ..
+        state,
+        leases,
+        shared,
     } = server;
     let cost = state.profile.cost();
-    let svc = services
-        .get_mut(service)
+    let svc = shared
+        .service(service)
         .ok_or_else(|| NrmiError::NoSuchService(service.to_owned()))?;
 
     let applied = apply_request_delta(payload, &mut state.heap, &entry.sync)?;
@@ -1258,6 +1219,7 @@ fn server_warm_call(
             let mut versions = entry.versions;
             record_versions(&state.heap, &sync, &mut versions);
             caches.put_entry(
+                leases,
                 cache_id,
                 ServerWarmEntry {
                     generation: entry.generation + 1,
@@ -1314,7 +1276,7 @@ fn full_reply_fallback(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     use nrmi_heap::{ClassRegistry, HeapAccess};
     use nrmi_transport::MachineSpec;
@@ -1365,7 +1327,7 @@ mod tests {
                 })),
             );
         }
-        let conn = Connection::new(WarmCaches::with_leases(Arc::clone(&server.leases)));
+        let conn = Connection::new(Arc::clone(server.shared()));
         let mut client = ClientNode::new(registry, MachineSpec::fast());
         let leak_root = client
             .state
@@ -1404,9 +1366,9 @@ mod tests {
         let shared = heap.alloc(cell, vec![Value::Int(3)]).expect("alloc");
         let z = heap.alloc(cell, vec![Value::Int(4)]).expect("alloc");
 
-        let leases = new_lease_table();
-        let mut conn_a = WarmCaches::with_leases(Arc::clone(&leases));
-        let mut conn_b = WarmCaches::with_leases(Arc::clone(&leases));
+        let mut leases = LeaseTable::default();
+        let mut conn_a = WarmCaches::new();
+        let mut conn_b = WarmCaches::new();
         let entry = |heap: &Heap, sync: Vec<ObjId>| {
             let mut versions = Vec::new();
             record_versions(heap, &sync, &mut versions);
@@ -1418,11 +1380,11 @@ mod tests {
                 snapshot: GraphSnapshot::default(),
             }
         };
-        conn_a.put_entry(1, entry(&heap, vec![x, y, shared]));
-        conn_b.put_entry(2, entry(&heap, vec![z, shared]));
-        assert_eq!(leases.lock().cover_count(shared), 2);
+        conn_a.put_entry(&mut leases, 1, entry(&heap, vec![x, y, shared]));
+        conn_b.put_entry(&mut leases, 2, entry(&heap, vec![z, shared]));
+        assert_eq!(leases.cover_count(shared), 2);
 
-        conn_a.release_all(&mut heap);
+        conn_a.release_all(&mut heap, &mut leases);
         assert!(heap.class_if_live(x).is_none(), "x was A's alone");
         assert!(heap.class_if_live(y).is_none(), "y was A's alone");
         assert!(
@@ -1431,10 +1393,10 @@ mod tests {
         );
         assert!(heap.class_if_live(z).is_some());
 
-        conn_b.evict(&mut heap, 2);
+        conn_b.evict(&mut heap, &mut leases, 2);
         assert!(heap.class_if_live(shared).is_none(), "last lease released");
         assert!(heap.class_if_live(z).is_none());
-        assert!(leases.lock().is_empty());
+        assert!(leases.is_empty());
     }
 
     /// A cross-session write during another session's call travels as a

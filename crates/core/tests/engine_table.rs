@@ -4,9 +4,11 @@
 //! the reactor thread with no node), mapped to the step and the frames
 //! it appends.
 
+use std::sync::Arc;
+
 use nrmi_core::{
-    client_marshal_call, run_offloaded, CallOptions, ClientNode, Connection, FnService, Host,
-    NoCallbackTransport, ReplyDecision, ServerNode, SharedServer, Step, WarmCaches,
+    client_marshal_call, run_offloaded, CallOptions, ClientNode, Connection, FnService,
+    NoCallbackTransport, ReplyDecision, ServerNode, Step,
 };
 use nrmi_heap::{ClassRegistry, SharedRegistry, Value};
 use nrmi_transport::{Frame, MachineSpec};
@@ -102,7 +104,7 @@ fn kind(frame: &Frame) -> String {
 fn run(host_kind: HostKind, frame: Frame, decision: Decision) -> String {
     let registry = registry();
     let mut node = server(&registry);
-    let shared = SharedServer::from_node(server(&registry));
+    let shared = Arc::clone(node.shared());
     // Priming stores seq 5; an evicted id is one below the session's
     // executed watermark with no cached reply.
     let seq = match decision {
@@ -118,32 +120,24 @@ fn run(host_kind: HostKind, frame: Frame, decision: Decision) -> String {
         other => other,
     };
     let cached = Frame::CallReply { payload: vec![] };
-    match (decision, host_kind) {
-        (Decision::Fresh, _) => {}
-        (Decision::Replay | Decision::Evicted, HostKind::Node) => {
-            node.replies.store(NONCE, 5, &cached)
-        }
-        (Decision::Replay | Decision::Evicted, _) => shared.replies.store(NONCE, 5, &cached),
-        (Decision::InProgress, HostKind::Node) => {
-            assert_eq!(node.replies.begin(NONCE, 5), ReplyDecision::Fresh)
-        }
-        (Decision::InProgress, _) => {
+    match decision {
+        Decision::Fresh => {}
+        Decision::Replay | Decision::Evicted => shared.replies.store(NONCE, 5, &cached),
+        Decision::InProgress => {
             assert_eq!(shared.replies.begin(NONCE, 5), ReplyDecision::Fresh)
         }
     }
-    let (mut conn, host) = match host_kind {
-        HostKind::Node => (Connection::new(WarmCaches::new()), Host::Node(&mut node)),
+    let mut pooled = shared.connection_node();
+    let (mut conn, node) = match host_kind {
+        HostKind::Node => (Connection::new(Arc::clone(&shared)), Some(&mut node)),
         HostKind::PoolWithWorkers => (
-            Connection::with_workers(&shared, WarmCaches::new()),
-            Host::Pool(&shared, Some(&mut node)),
+            Connection::with_workers(Arc::clone(&shared)),
+            Some(&mut pooled),
         ),
-        HostKind::Reactor => (
-            Connection::with_workers(&shared, WarmCaches::new()),
-            Host::Pool(&shared, None),
-        ),
+        HostKind::Reactor => (Connection::with_workers(Arc::clone(&shared)), None),
     };
     let mut out = Vec::new();
-    let step = match conn.on_frame(host, &mut NoCallbackTransport, frame, &mut out) {
+    let step = match conn.on_frame(node, &mut NoCallbackTransport, frame, &mut out) {
         Ok(Step::Continue) => "Continue".to_owned(),
         Ok(Step::Offload { seq: s, .. }) => {
             assert_eq!(s, seq);
@@ -282,10 +276,10 @@ fn frame_kind_by_decision_table() {
 #[test]
 fn run_offloaded_stores_and_tags_the_reply() {
     let registry = registry();
-    let shared = SharedServer::from_node(server(&registry));
+    let shared = Arc::clone(server(&registry).shared());
     let mut worker = shared.connection_node();
     assert_eq!(shared.replies.begin(NONCE, 1), ReplyDecision::Fresh);
-    let reply = run_offloaded(&shared, &mut worker, NONCE, 1, call(&registry, false));
+    let reply = run_offloaded(&mut worker, NONCE, 1, call(&registry, false));
     let Frame::Tagged { nonce, seq, frame } = reply else {
         panic!("worker replies are tagged");
     };

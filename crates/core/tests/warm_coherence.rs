@@ -23,7 +23,7 @@ use proptest::prelude::*;
 
 use nrmi_core::{
     client_evict_warm, client_invoke_warm_with_stats, ClientNode, Connection, FnService, Loopback,
-    NrmiError, RemoteService, ServerNode, Session, WarmCaches,
+    NrmiError, RemoteService, ServerNode, Session,
 };
 use nrmi_heap::graph::isomorphic;
 use nrmi_heap::{ClassRegistry, Heap, HeapAccess, ObjId, SharedRegistry, Value};
@@ -291,7 +291,7 @@ fn rw_world(initial: i32) -> RwWorld {
             })),
         );
     }
-    let caches = WarmCaches::with_leases(Arc::clone(&server.leases));
+    let conn = Connection::new(Arc::clone(server.shared()));
     let mut client = ClientNode::new(registry, MachineSpec::fast());
     let read_root = client
         .state
@@ -305,7 +305,7 @@ fn rw_world(initial: i32) -> RwWorld {
         .expect("alloc");
     RwWorld {
         client,
-        link: Loopback::new(server, Connection::new(caches)),
+        link: Loopback::new(server, conn),
         read_root,
         write_root,
         leaked,

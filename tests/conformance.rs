@@ -68,6 +68,12 @@ impl Transport for Recorder<'_> {
         self.inner.send(frame)
     }
 
+    /// One write on the socket transports, so the server finds the
+    /// whole batch already readable.
+    fn send_batch(&mut self, frames: &[&Frame]) -> nrmi::transport::Result<()> {
+        self.inner.send_batch(frames)
+    }
+
     fn recv(&mut self) -> nrmi::transport::Result<Frame> {
         self.recv_timeout(Duration::from_secs(10))
     }
@@ -146,6 +152,26 @@ fn script(registry: &SharedRegistry, transport: &mut dyn Transport) -> Vec<Seen>
     let (second, third) = (tagged(&mut client, cell, 2), tagged(&mut client, cell, 3));
     wire.send_batch(&[&second, &third]).expect("send batch");
     recv_by_call_id(&mut wire, 2);
+
+    // An untagged call — the reactor escalates the connection on it —
+    // with tagged calls and a lookup behind it in the same write: the
+    // frames after the trigger are answered too, tagged ones compared
+    // by call id.
+    let (untagged, _pending) = client_marshal_call(
+        &mut client,
+        "bump",
+        "bump",
+        &[Value::Ref(cell)],
+        CallOptions::auto(),
+    )
+    .expect("marshal");
+    let (fourth, fifth) = (tagged(&mut client, cell, 4), tagged(&mut client, cell, 5));
+    let lookup = Frame::Lookup {
+        name: "bump".into(),
+    };
+    wire.send_batch(&[&untagged, &fourth, &fifth, &lookup])
+        .expect("send batch");
+    recv_by_call_id(&mut wire, 4);
 
     // A warm seed, a warm call over a dirtied graph, an eviction.
     for v in [20, 30] {

@@ -21,7 +21,7 @@ use nrmi::core::{
     client_invoke, client_invoke_warm_with_stats, client_marshal_call, serve_connection,
     serve_connection_pooled, serve_tcp_concurrent, CallOptions, ClientNode, FnService, NrmiError,
     PassMode, PipelinedCall, ReliableTransport, ReplyCache, ReplyDecision, RetryPolicy, ServerNode,
-    Session, SharedServer, REPLY_EVICTED,
+    ServerPool, Session, REPLY_EVICTED,
 };
 use nrmi::heap::{ClassRegistry, HeapAccess, SharedRegistry, Value};
 use nrmi::transport::{
@@ -436,7 +436,7 @@ fn pipelined_tcp_batch_overlaps_execution_and_collects_in_issue_order() {
             Ok(Value::Int(args[0].as_int().unwrap_or(0) + 1))
         })),
     );
-    let shared = Arc::new(SharedServer::from_node(node));
+    let shared = Arc::clone(node.shared());
     let server = {
         let shared = shared.clone();
         thread::spawn(move || {
@@ -587,4 +587,62 @@ fn duplicate_on_second_connection_mid_execution_runs_once() {
     transport.send(&Frame::Shutdown).expect("shutdown conn 2");
     drop(transport);
     server.join().expect("server thread");
+}
+
+/// Serves `frame` on `node` alone (the in-process `Session`'s loop) and
+/// returns its answer.
+fn serve_alone(node: &mut ServerNode, frame: &Frame) -> Frame {
+    let (mut client_t, mut server_t) = channel_pair(None, LinkSpec::free());
+    client_t.send(frame).expect("send");
+    client_t.send(&Frame::Shutdown).expect("send shutdown");
+    serve_connection(node, &mut server_t).expect("serve alone");
+    client_t.recv().expect("answer")
+}
+
+#[test]
+fn a_call_id_replays_after_its_node_moves_into_and_out_of_a_pool() {
+    // A node keeps one at-most-once record however it serves: a call id
+    // executed while the node serves alone replays from a `ServerPool`
+    // of the same node, and again once `shutdown` hands the node back.
+    let registry = registry();
+    let executions = Arc::new(AtomicUsize::new(0));
+    let mut node = ServerNode::new(registry.clone(), MachineSpec::fast());
+    let counter = Arc::clone(&executions);
+    node.bind(
+        "count",
+        Box::new(FnService::new(move |_m, _args, _h| {
+            Ok(Value::Int(counter.fetch_add(1, Ordering::SeqCst) as i32))
+        })),
+    );
+    let mut client = ClientNode::new(registry, MachineSpec::fast());
+    let (call, _) = client_marshal_call(&mut client, "count", "tick", &[], CallOptions::auto())
+        .expect("marshal");
+    let tagged = Frame::Tagged {
+        nonce: 0x1D0F_CA11,
+        seq: 1,
+        frame: Box::new(call),
+    };
+    let is_replay = |frame: &Frame| matches!(frame, Frame::ReplyCached { seq: 1, .. });
+
+    let first = serve_alone(&mut node, &tagged);
+    assert!(matches!(first, Frame::Tagged { seq: 1, .. }), "{first:?}");
+
+    let listener = TcpListenerTransport::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let handle = ServerPool::new().serve(node, listener);
+    let mut wire = TcpTransport::connect(addr).expect("connect");
+    wire.send(&tagged).expect("retransmit to the pool");
+    let pooled = wire
+        .recv_timeout(Duration::from_secs(10))
+        .expect("pool answer");
+    assert!(is_replay(&pooled), "the pool re-executed: {pooled:?}");
+    drop(wire);
+    let mut node = handle.shutdown().expect("pool shutdown");
+
+    let again = serve_alone(&mut node, &tagged);
+    assert!(
+        is_replay(&again),
+        "the returned node re-executed: {again:?}"
+    );
+    assert_eq!(executions.load(Ordering::SeqCst), 1);
 }
